@@ -106,17 +106,20 @@ def _run_cell(config: TrainConfig, value) -> dict:
         }
 
 
+def _run_cells(configs: list[TrainConfig], values: list,
+               workers: int) -> list[dict]:
+    """One row per (config, value) cell, in cell order."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_cell, configs, values))
+    return list(map(_run_cell, configs, values))
+
+
 def sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """One pipeline run per value, rows sorted by value."""
     values = sorted(spec.values)
     configs = [apply_value(spec.base, spec.vary, v) for v in values]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, c, v) for c, v in zip(configs, values)
-            ]
-            return [f.result() for f in futures]
-    return [_run_cell(c, v) for c, v in zip(configs, values)]
+    return _run_cells(configs, values, workers)
 
 
 def sensitivity_scan(
@@ -148,13 +151,10 @@ def sensitivity_scan(
             cfg = replace(cfg, prunable_overrides=overrides)
         return cfg
 
-    cells = [(cell_config(n, ov), n) for n, ov in layers]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, c, n) for c, n in cells]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_run_cell(c, n) for c, n in cells]
+    rows = _run_cells(
+        [cell_config(n, ov) for n, ov in layers], [n for n, _ in layers],
+        workers,
+    )
     for row in rows:
         row["layer"] = row.pop("value")
     return rows

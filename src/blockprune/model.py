@@ -12,10 +12,11 @@ most frequent token id with ties going to the smallest id. A model that
 learns to pool token histograms solves it, which exercises every weight
 matrix on the way.
 
-All parameters live in a ModelParams registry of named tensors. The
-backward pass returns gradients keyed by tensor name, with bias
-gradients under "<name>.bias". Every analytic gradient is validated
-against central finite differences in the test suite.
+All parameters live in a ModelParams registry of named tensors, each a
+view into one flat float64 buffer. The backward pass returns gradients
+in a store of the same layout, so weights, gradients and optimizer state
+line up entry for entry. Every analytic gradient is validated against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -80,7 +81,13 @@ class WeightTensor:
 
 
 class ModelParams:
-    """Ordered registry of named weight tensors.
+    """Ordered registry of named weight tensors over one flat buffer.
+
+    `flat` is a contiguous float64 vector holding every matrix and bias
+    in registry order, matrix before bias. Each tensor's `matrix` and
+    `bias` are reshaped views into it, so a write to either is a write
+    to `flat` and the reverse. The constructor copies its inputs into a
+    fresh buffer.
 
     `version` increments on every mutation (optimizer steps, pruning)
     so cached activations can detect that they are stale.
@@ -90,7 +97,23 @@ class ModelParams:
         names = [n for n, _ in tensors]
         if len(set(names)) != len(names):
             raise ShapeError("tensor names must be unique")
-        self._tensors = dict(tensors)
+        arrays = [
+            a for _, t in tensors for a in (t.matrix, t.bias) if a is not None
+        ]
+        self.flat = np.concatenate([np.ravel(a) for a in arrays],
+                                   dtype=np.float64)
+        views = iter(np.split(self.flat, np.cumsum([np.size(a) for a in arrays])))
+
+        def take(a):
+            return None if a is None else next(views).reshape(np.shape(a))
+
+        # keyword arguments evaluate in order: each matrix takes its view
+        # before its bias does
+        self._tensors = {
+            name: WeightTensor(matrix=take(t.matrix), role=t.role,
+                               prunable=t.prunable, bias=take(t.bias))
+            for name, t in tensors
+        }
         self.version = 0
 
     def names(self) -> list[str]:
@@ -108,20 +131,13 @@ class ModelParams:
         self.version += 1
 
     def clone(self) -> "ModelParams":
-        copies = []
-        for name, t in self._tensors.items():
-            copies.append(
-                (
-                    name,
-                    WeightTensor(
-                        matrix=t.matrix.copy(),
-                        role=t.role,
-                        prunable=t.prunable,
-                        bias=None if t.bias is None else t.bias.copy(),
-                    ),
-                )
-            )
-        return ModelParams(copies)
+        return ModelParams(list(self.items()))
+
+    def zeros_like(self) -> "ModelParams":
+        """Same names, shapes and layout with every entry +0.0."""
+        out = self.clone()
+        out.flat[...] = 0.0
+        return out
 
 
 @dataclass
@@ -160,6 +176,7 @@ class ForwardCache:
     U: np.ndarray
     R: np.ndarray
     P: np.ndarray
+    logits: np.ndarray
     params_ref: ModelParams = field(repr=False)
     params_version: int = 0
 
@@ -242,7 +259,7 @@ def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, ForwardCache
     logits = P @ cl.matrix + cl.bias
     cache = ForwardCache(
         token_ids=toks, X=X, Q=Q, K=K, V=V, A=A, att=att,
-        H1=H1, U=U, R=R, P=P,
+        H1=H1, U=U, R=R, P=P, logits=logits,
         params_ref=params, params_version=params.version,
     )
     return logits, cache
@@ -262,11 +279,9 @@ def loss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(params: ModelParams, cache: ForwardCache,
-             labels: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the mean cross-entropy for every tensor and bias.
-
-    Keys are tensor names, biases under "<name>.bias".
-    """
+             labels: np.ndarray) -> ModelParams:
+    """Gradients of the mean cross-entropy for every tensor and bias,
+    in a store laid out like `params`."""
     if cache.params_ref is not params or cache.params_version != params.version:
         raise ShapeError(
             "stale forward cache: parameters changed since the forward pass"
@@ -285,27 +300,27 @@ def backward(params: ModelParams, cache: ForwardCache,
     Wf = params.tensor("ffn_out").matrix
     Wc = params.tensor("classifier").matrix
 
-    logits = cache.P @ Wc + params.tensor("classifier").bias
-    probs = _softmax(logits)
+    probs = _softmax(cache.logits)
     dlog = probs.copy()
     dlog[np.arange(B), labels] -= 1.0
     dlog /= B
 
-    g: dict[str, np.ndarray] = {}
-    g["classifier"] = cache.P.T @ dlog
-    g["classifier.bias"] = dlog.sum(axis=0)
+    grads = params.zeros_like()
+    g = dict(grads.items())
+    g["classifier"].matrix[...] = cache.P.T @ dlog
+    g["classifier"].bias[...] = dlog.sum(axis=0)
     dP = dlog @ Wc.T
     dH2 = np.repeat(dP[:, None, :], S, axis=1) / S
     dF2 = dH2
-    g["ffn_out"] = cache.R.reshape(-1, f).T @ dF2.reshape(-1, d)
-    g["ffn_out.bias"] = dF2.sum(axis=(0, 1))
+    g["ffn_out"].matrix[...] = cache.R.reshape(-1, f).T @ dF2.reshape(-1, d)
+    g["ffn_out"].bias[...] = dF2.sum(axis=(0, 1))
     dR = dF2 @ Wf.T
     dU = dR * (cache.U > 0)
-    g["ffn_in"] = cache.H1.reshape(-1, d).T @ dU.reshape(-1, f)
-    g["ffn_in.bias"] = dU.sum(axis=(0, 1))
+    g["ffn_in"].matrix[...] = cache.H1.reshape(-1, d).T @ dU.reshape(-1, f)
+    g["ffn_in"].bias[...] = dU.sum(axis=(0, 1))
     dH1 = dH2 + dU @ Wi.T
     dO = dH1
-    g["Wo"] = cache.att.reshape(-1, d).T @ dO.reshape(-1, d)
+    g["Wo"].matrix[...] = cache.att.reshape(-1, d).T @ dO.reshape(-1, d)
     datt = dO @ Wo.T
     dA = datt @ cache.V.transpose(0, 2, 1)
     dV = cache.A.transpose(0, 2, 1) @ datt
@@ -313,17 +328,16 @@ def backward(params: ModelParams, cache: ForwardCache,
     ds = cache.A * (dA - (dA * cache.A).sum(axis=-1, keepdims=True))
     dQ = ds @ cache.K / np.sqrt(d)
     dK = ds.transpose(0, 2, 1) @ cache.Q / np.sqrt(d)
-    g["Wq"] = cache.X.reshape(-1, d).T @ dQ.reshape(-1, d)
-    g["Wk"] = cache.X.reshape(-1, d).T @ dK.reshape(-1, d)
-    g["Wv"] = cache.X.reshape(-1, d).T @ dV.reshape(-1, d)
+    g["Wq"].matrix[...] = cache.X.reshape(-1, d).T @ dQ.reshape(-1, d)
+    g["Wk"].matrix[...] = cache.X.reshape(-1, d).T @ dK.reshape(-1, d)
+    g["Wv"].matrix[...] = cache.X.reshape(-1, d).T @ dV.reshape(-1, d)
     dX = dH1 + dQ @ Wq.T + dK @ Wk.T + dV @ Wv.T
-    g["embedding"] = np.zeros_like(E)
-    np.add.at(g["embedding"], toks.reshape(-1), dX.reshape(-1, d))
-    return g
+    np.add.at(g["embedding"].matrix, toks.reshape(-1), dX.reshape(-1, d))
+    return grads
 
 
 def loss_and_gradients(params: ModelParams,
-                       batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
+                       batch: Batch) -> tuple[float, ModelParams]:
     logits, cache = forward(params, batch)
     value = loss(logits, batch.labels)
     return value, backward(params, cache, batch.labels)
@@ -379,13 +393,18 @@ def _write_f64(path: str, arr: np.ndarray) -> None:
 
 
 def _read_f64(path: str, count: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(
+            f"{path}: cannot read: {exc.strerror or exc}"
+        ) from None
     if len(raw) != 8 * count:
         raise CheckpointError(
             f"{path}: expected {8 * count} bytes, found {len(raw)}"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def save_checkpoint(params: ModelParams, out_dir: str,
@@ -434,6 +453,10 @@ def load_checkpoint(in_dir: str) -> ModelParams:
                 raise CheckpointError(
                     f"{manifest}:{lineno}: malformed numeric field"
                 ) from None
+            if rows < 1 or cols < 1:
+                raise CheckpointError(
+                    f"{manifest}:{lineno}: shape {rows}x{cols} is not positive"
+                )
             if role not in ROLES:
                 raise CheckpointError(f"{manifest}:{lineno}: unknown role {role!r}")
             matrix = _read_f64(
@@ -441,9 +464,8 @@ def load_checkpoint(in_dir: str) -> ModelParams:
             ).reshape(rows, cols)
             bias = None
             if bias_file != "-":
-                bias_path = os.path.join(in_dir, bias_file)
-                n_bias = os.path.getsize(bias_path) // 8
-                bias = _read_f64(bias_path, n_bias)
+                # every bias adds to the matrix's output axis
+                bias = _read_f64(os.path.join(in_dir, bias_file), cols)
             tensors.append(
                 (name, WeightTensor(matrix=matrix, role=role,
                                     prunable=prunable, bias=bias))

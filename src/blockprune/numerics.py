@@ -13,8 +13,8 @@ guarantee and use numpy's `@` for speed.
 
 Randomness is PCG64 via `numpy.random.default_rng`. Identical seeds give
 identical streams within one build; cross-platform bit-exactness of the
-stream is not promised. Derived streams come from `SeedSequence.spawn`
-so one root seed covers init, data, and evaluation without overlap.
+stream is not promised. One root seed covers init, data, and evaluation:
+`trainer.derive_seeds` turns it into one child seed per stream.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ COLUMN = "column"
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
-
-
-def child_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent generators derived from one root seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def as_matrix(a) -> np.ndarray:

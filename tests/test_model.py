@@ -146,12 +146,21 @@ class TestBackward:
 
         for name, t in params.items():
             fd = finite_diff_gradient(through(t.matrix), t.matrix, 1e-6)
-            np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-8)
+            g = grads.tensor(name)
+            np.testing.assert_allclose(g.matrix, fd, rtol=1e-4, atol=1e-8)
             if t.bias is not None:
                 fd_b = finite_diff_gradient(through(t.bias), t.bias, 1e-6)
-                np.testing.assert_allclose(
-                    grads[name + ".bias"], fd_b, rtol=1e-4, atol=1e-8
-                )
+                np.testing.assert_allclose(g.bias, fd_b, rtol=1e-4, atol=1e-8)
+
+    def test_gradients_share_the_parameter_layout(self):
+        params = tiny_model(seed=3)
+        _, grads = loss_and_gradients(params, tiny_batch(seed=4, n=4))
+        assert grads.names() == params.names()
+        assert grads.flat.shape == params.flat.shape
+        for name, t in params.items():
+            g = grads.tensor(name)
+            assert g.matrix.shape == t.matrix.shape
+            assert (g.bias is None) == (t.bias is None)
 
     def test_stale_cache_rejected(self):
         params = tiny_model()
@@ -213,6 +222,43 @@ class TestEvaluate:
             evaluate(tiny_model(), [])
 
 
+def assert_views_of_flat(params):
+    """Every matrix and bias is a view into `flat`, which holds exactly
+    those values and nothing more."""
+    count = 0
+    for _, t in params.items():
+        for arr in (t.matrix, t.bias):
+            if arr is not None:
+                assert np.shares_memory(arr, params.flat)
+                count += arr.size
+    assert params.flat.size == count
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+
+
+class TestFlatStore:
+    def test_build_clone_load_and_zeros_like_fill_one_buffer(self, tmp_path):
+        params = tiny_model(seed=13)
+        assert_views_of_flat(params)
+        copy = params.clone()
+        assert_views_of_flat(copy)
+        assert not np.shares_memory(copy.flat, params.flat)
+        save_checkpoint(params, tmp_path / "ck")
+        assert_views_of_flat(load_checkpoint(tmp_path / "ck"))
+        zeros = params.zeros_like()
+        assert_views_of_flat(zeros)
+        assert zeros.names() == params.names()
+        assert zeros.flat.tobytes() == bytes(8 * params.flat.size)
+
+    def test_layout_is_registry_order_matrix_before_bias(self):
+        params = tiny_model(seed=14)
+        parts = []
+        for _, t in params.items():
+            parts.append(t.matrix.ravel())
+            if t.bias is not None:
+                parts.append(t.bias)
+        assert np.concatenate(parts).tobytes() == params.flat.tobytes()
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         params = tiny_model(seed=11)
@@ -242,6 +288,29 @@ class TestCheckpoint:
         blob = tmp_path / "ck" / "Wq.bin"
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match="Wq"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_wrong_length_bias_rejected(self, tmp_path):
+        params = tiny_model()
+        save_checkpoint(params, tmp_path / "ck")
+        blob = tmp_path / "ck" / "ffn_in.bias.bin"
+        blob.write_bytes(blob.read_bytes() + bytes(8))
+        with pytest.raises(CheckpointError, match=r"ffn_in\.bias\.bin"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_missing_blob_names_the_path(self, tmp_path):
+        params = tiny_model()
+        save_checkpoint(params, tmp_path / "ck")
+        (tmp_path / "ck" / "Wk.bin").unlink()
+        with pytest.raises(CheckpointError, match=r"Wk\.bin"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_negative_shape_reports_line_number(self, tmp_path):
+        params = tiny_model()
+        save_checkpoint(params, tmp_path / "ck")
+        manifest = tmp_path / "ck" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("Wq 8 8", "Wq -8 -8"))
+        with pytest.raises(CheckpointError, match=r"manifest\.txt:\d+"):
             load_checkpoint(tmp_path / "ck")
 
     def test_missing_manifest(self, tmp_path):

@@ -6,7 +6,6 @@ from blockprune.numerics import (
     COLUMN,
     ROW,
     as_matrix,
-    child_rngs,
     finite_diff_gradient,
     make_rng,
     matmul,
@@ -118,11 +117,3 @@ class TestRngs:
         a = make_rng(123).normal(size=8)
         b = make_rng(123).normal(size=8)
         assert np.array_equal(a, b)
-
-    def test_children_are_distinct_and_reproducible(self):
-        first = [r.normal(size=4) for r in child_rngs(9, 3)]
-        again = [r.normal(size=4) for r in child_rngs(9, 3)]
-        for x, y in zip(first, again):
-            assert np.array_equal(x, y)
-        assert not np.array_equal(first[0], first[1])
-        assert not np.array_equal(first[1], first[2])

@@ -232,6 +232,15 @@ class TestMaskIO:
         with pytest.raises(CheckpointError, match=r"m\.txt:\d+"):
             load_masks(path)
 
+    def test_non_integer_pair_reports_line_number(self, tmp_path):
+        p = make_partition(2, 4, ROW, 2, "w")
+        path = tmp_path / "m.txt"
+        save_masks({"w": mask_from_zeroed(p, [(0, 1)])}, path)
+        path.write_text(path.read_text().replace("zero 0 1", "zero x 0"))
+        lineno = path.read_text().splitlines().index("zero x 0") + 1
+        with pytest.raises(CheckpointError, match=rf"m\.txt:{lineno}:"):
+            load_masks(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_masks(tmp_path / "absent.txt")
