@@ -15,14 +15,9 @@ from .config import Settings, parse_config, resolve_settings
 from .errors import BlockpruneError, ConfigError, MaskError
 from .experiments import save_table, sensitivity_scan, sweep
 from .model import load_checkpoint, make_synthetic_dataset, evaluate
-from .pruner import PruneMask, load_masks, model_compression_rate, \
-    model_compression_rate_all, sparsity as mask_sparsity
-from .sparse import (
-    WholeBlockMatrix,
-    storage_cost,
-    to_block_structured,
-    to_coo,
-)
+from .pruner import load_masks, model_compression_rates, \
+    sparsity as mask_sparsity
+from .sparse import storage_cost, to_block_structured, to_coo, whole_block_cost
 from .trainer import derive_seeds, run_pipeline
 
 
@@ -142,22 +137,6 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
-def _whole_block_cost(mask: PruneMask) -> WholeBlockMatrix | None:
-    """Hypothetical whole-tile pruning of the same matrix at the same
-    sparsity, square tiles of the mask's block width; None when the
-    tile does not divide the matrix."""
-    width = mask.partition.block_width
-    rows, cols = mask.bits.shape
-    if rows % width or cols % width:
-        return None
-    tiles = (rows // width) * (cols // width)
-    zeroed = int(mask_sparsity(mask) * tiles)  # floor
-    return WholeBlockMatrix(
-        rows=rows, cols=cols, tile_rows=width, tile_cols=width,
-        retained_tiles=tiles - zeroed,
-    )
-
-
 def cmd_storage_report(args) -> int:
     params = load_checkpoint(args.checkpoint)
     masks = load_masks(args.mask)
@@ -182,7 +161,7 @@ def cmd_storage_report(args) -> int:
             storage_cost(to_coo(w)),
             storage_cost(to_block_structured(w, mask)),
         ]
-        wb = _whole_block_cost(mask)
+        wb = whole_block_cost(mask)
         print(f"layer {name} {w.shape[0]}x{w.shape[1]} "
               f"sparsity={mask_sparsity(mask)!r}")
         for rep in reports:
@@ -202,8 +181,9 @@ def cmd_storage_report(args) -> int:
     print(f"totals: dense={totals['dense']} coo={totals['coo']} "
           f"whole_block={wb_text} "
           f"block_structured={totals['block_structured']}")
-    print(f"compression_prunable={model_compression_rate(params, masks)!r}")
-    print(f"compression_all={model_compression_rate_all(params, masks)!r}")
+    prunable, everything = model_compression_rates(params, masks)
+    print(f"compression_prunable={prunable!r}")
+    print(f"compression_all={everything!r}")
     return 0
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .experiments import SweepSpec
@@ -40,38 +40,6 @@ from .trainer import TrainConfig
 
 TENSOR_NAMES = tuple(name for name, _, _ in LAYOUT)
 DEFAULT_PRUNABLE = tuple(name for name, _, prunable in LAYOUT if prunable)
-
-DEFAULTS = {
-    "model.vocab": 8,
-    "model.dim": 16,
-    "model.heads": 1,
-    "model.ffn": 32,
-    "model.classes": 8,
-    "model.seq_len": 16,
-    "model.prunable": ",".join(DEFAULT_PRUNABLE),
-    "dataset.train_samples": 20000,
-    "dataset.eval_samples": 2000,
-    "train.seed": 42,
-    "train.batch_size": 32,
-    "train.learning_rate": 3e-5,
-    "train.reweighted_learning_rate": None,  # falls back to learning_rate
-    "train.baseline_steps": 3750,
-    "train.t1": 8000,
-    "train.t2": 2500,
-    "train.lambda_max": 1e-4,
-    "train.lambda_warmup_steps": 200,
-    "train.milestone_every": None,  # None: every 4 epochs
-    "train.milestones": None,
-    "train.eval_every": 500,
-    "prune.layers": "all",
-    "prune.axis": "row",
-    "prune.num_blocks": 8,
-    "prune.mode": "percentile",
-    "prune.sparsity": 0.5,
-    "prune.threshold": None,
-    "sensitivity.ratio": 0.5,
-    "sensitivity.include_nonprunable": False,
-}
 
 _SCHEMA = {
     "model": {
@@ -96,6 +64,28 @@ _SCHEMA = {
     },
     "sweep.*": {"vary": str, "values": "strlist"},
     "sensitivity": {"ratio": float, "include_nonprunable": bool},
+}
+
+# model, dataset and train defaults are the dataclass field defaults;
+# the keys below them have no dataclass field of their own
+_FIELD_DEFAULTS = TrainConfig()
+DEFAULTS = {
+    **{f"model.{f.name}": getattr(_FIELD_DEFAULTS.arch, f.name)
+       for f in fields(ArchConfig)},
+    "model.prunable": ",".join(DEFAULT_PRUNABLE),
+    **{f"{section}.{key}": getattr(_FIELD_DEFAULTS, key)
+       for section in ("dataset", "train") for key in _SCHEMA[section]
+       if key not in ("milestone_every", "milestones")},
+    "train.milestone_every": None,  # None: every 4 epochs
+    "train.milestones": None,
+    "prune.layers": "all",
+    "prune.axis": "row",
+    "prune.num_blocks": 8,
+    "prune.mode": "percentile",
+    "prune.sparsity": 0.5,
+    "prune.threshold": None,
+    "sensitivity.ratio": 0.5,
+    "sensitivity.include_nonprunable": False,
 }
 
 _SWEEP_VALUE_TYPE = {

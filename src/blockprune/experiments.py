@@ -77,9 +77,13 @@ def apply_value(base: TrainConfig, vary: str, value) -> TrainConfig:
         if base.prune_spec.entries:
             template = base.prune_spec.entries[0]
         else:
+            # config imports this module, so its defaults load late
+            from .config import DEFAULTS
+
             template = PruneEntry(
-                layer_name="", axis="row", num_blocks=8,
-                mode="percentile", value=0.5,
+                layer_name="", axis=DEFAULTS["prune.axis"],
+                num_blocks=DEFAULTS["prune.num_blocks"],
+                mode=DEFAULTS["prune.mode"], value=DEFAULTS["prune.sparsity"],
             )
         entry = replace(template, layer_name=str(value))
         return replace(base, prune_spec=PruneSpec(entries=(entry,)))

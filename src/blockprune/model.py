@@ -446,6 +446,10 @@ def load_checkpoint(in_dir: str) -> ModelParams:
                     f"{manifest}:{lineno}: expected 7 fields, got {len(parts)}"
                 )
             name, rows_s, cols_s, role, prunable_s, data_file, bias_file = parts
+            if any(name == seen for seen, _ in tensors):
+                raise CheckpointError(
+                    f"{manifest}:{lineno}: tensor {name!r} listed twice"
+                )
             try:
                 rows, cols = int(rows_s), int(cols_s)
                 prunable = bool(int(prunable_s))

@@ -186,39 +186,24 @@ def prune_model(params, spec: PruneSpec) -> dict[str, PruneMask]:
     return masks
 
 
-def model_compression_rate(params, masks: dict[str, PruneMask]) -> float:
-    """Compression over prunable weight matrices only."""
-    total = 0
-    retained = 0
-    for name in params.names():
-        t = params.tensor(name)
-        if not t.prunable:
-            continue
-        total += t.matrix.size
+def model_compression_rates(params,
+                            masks: dict[str, PruneMask]) -> tuple[float, float]:
+    """Compression over prunable weight matrices only, and over every
+    tensor and bias, masked or not: (prunable, all)."""
+    total = retained = total_all = retained_all = 0
+    for name, t in params.items():
+        kept = t.matrix.size
         if name in masks:
-            retained += int(round(float(masks[name].bits.sum())))
-        else:
-            retained += t.matrix.size
+            kept = int(round(float(masks[name].bits.sum())))
+        if t.prunable:
+            total += t.matrix.size
+            retained += kept
+        bias = 0 if t.bias is None else t.bias.size
+        total_all += t.matrix.size + bias
+        retained_all += kept + bias
     if retained == 0:
         raise MaskError("no prunable parameters retained")
-    return total / retained
-
-
-def model_compression_rate_all(params, masks: dict[str, PruneMask]) -> float:
-    """Compression counting every tensor and bias, masked or not."""
-    total = 0
-    retained = 0
-    for name in params.names():
-        t = params.tensor(name)
-        total += t.matrix.size
-        if name in masks:
-            retained += int(round(float(masks[name].bits.sum())))
-        else:
-            retained += t.matrix.size
-        if t.bias is not None:
-            total += t.bias.size
-            retained += t.bias.size
-    return total / retained
+    return total / retained, total_all / retained_all
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from statistics import median
 
 import numpy as np
 
-from .errors import CheckpointError, MaskError, ShapeError
-from .numerics import COLUMN, ROW, as_matrix, matmul
-from .pruner import PruneMask, prune_percentile, validate_block_structure
+from .errors import CheckpointError, MaskError, PartitionError, ShapeError
+from .numerics import ROW, as_matrix, matmul
+from .pruner import PruneMask, prune_percentile, sparsity, \
+    validate_block_structure
 from .regularizer import BlockPartition, make_partition, oriented
 
 
@@ -152,36 +153,21 @@ def storage_cost(obj) -> StorageReport:
     raise ShapeError(f"no storage model for {type(obj).__name__}")
 
 
-def whole_block_prune(
-    w: np.ndarray, tile_rows: int, tile_cols: int, target_sparsity: float
-) -> tuple[np.ndarray, np.ndarray, WholeBlockMatrix]:
-    """Zero whole tiles, smallest Frobenius norm first, floor rule.
-
-    Returns (pruned, tile keep bits, comparator record). Comparator
-    only; there is no dedicated kernel for this format.
-    """
-    w = as_matrix(w)
-    rows, cols = w.shape
-    if rows % tile_rows or cols % tile_cols:
-        raise ShapeError(
-            f"tiles {tile_rows}x{tile_cols} do not divide matrix {rows}x{cols}"
-        )
-    if not 0 <= target_sparsity < 1:
-        raise ShapeError(f"target sparsity must be in [0, 1), got {target_sparsity}")
-    gr, gc = rows // tile_rows, cols // tile_cols
-    tiles = w.reshape(gr, tile_rows, gc, tile_cols).transpose(0, 2, 1, 3)
-    norms = np.sqrt((tiles * tiles).sum(axis=(2, 3)))
-    n_zero = int(np.floor(target_sparsity * norms.size))
-    order = np.argsort(norms.ravel(), kind="stable")
-    keep = np.ones(norms.size, dtype=bool)
-    keep[order[:n_zero]] = False
-    keep = keep.reshape(gr, gc)
-    full = np.repeat(np.repeat(keep, tile_rows, axis=0), tile_cols, axis=1)
-    record = WholeBlockMatrix(
-        rows=rows, cols=cols, tile_rows=tile_rows, tile_cols=tile_cols,
-        retained_tiles=int(keep.sum()),
+def whole_block_cost(mask: PruneMask) -> WholeBlockMatrix | None:
+    """Hypothetical whole-tile pruning of the same matrix at the same
+    sparsity, square tiles of the mask's block width; None when the
+    tile does not divide the matrix. Comparator only: no tile is
+    zeroed, and there is no kernel for this format."""
+    width = mask.partition.block_width
+    rows, cols = mask.bits.shape
+    if rows % width or cols % width:
+        return None
+    tiles = (rows // width) * (cols // width)
+    zeroed = int(sparsity(mask) * tiles)  # floor
+    return WholeBlockMatrix(
+        rows=rows, cols=cols, tile_rows=width, tile_cols=width,
+        retained_tiles=tiles - zeroed,
     )
-    return w * full, keep, record
 
 
 def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
@@ -326,37 +312,71 @@ def save_block_structured(m: BlockStructuredMatrix, path: str) -> None:
 
 
 def load_block_structured(path: str) -> BlockStructuredMatrix:
+    """Read a block file, rejecting any malformed line with path:line."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    lineno = 1
 
-    def take_line(buf, start):
-        end = buf.find(b"\n", start)
-        if end < 0:
-            raise CheckpointError(f"{path}: truncated text section")
-        return buf[start:end].decode("ascii"), end + 1
+    def fail(msg):
+        raise CheckpointError(f"{path}:{lineno}: {msg}")
 
-    line, pos = take_line(raw, 0)
-    parts = line.split()
+    header, newline, rest = raw.partition(b"\n")
+    if not newline:
+        fail("truncated text section")
+    # undecodable bytes become U+FFFD and fail the checks below
+    parts = header.decode("ascii", "replace").split()
     if len(parts) != 7 or " ".join(parts[:2]) != MAGIC:
-        raise CheckpointError(f"{path}: bad header {line!r}")
+        fail(f"bad header {header!r}")
     try:
         rows, cols = int(parts[2]), int(parts[3])
         axis = parts[4]
         num_blocks, n_ret = int(parts[5]), int(parts[6])
     except ValueError:
-        raise CheckpointError(f"{path}: malformed header numbers") from None
-    if axis not in (ROW, COLUMN):
-        raise CheckpointError(f"{path}: bad axis {axis!r}")
-    pairs = np.zeros((n_ret, 2), dtype=np.int64)
-    for i in range(n_ret):
-        line, pos = take_line(raw, pos)
-        g_s, b_s = line.split()
-        pairs[i] = (int(g_s), int(b_s))
-    part = make_partition(rows, cols, axis, num_blocks)
-    blob = raw[pos:]
+        fail("malformed header numbers")
+    try:
+        part = make_partition(rows, cols, axis, num_blocks)
+    except PartitionError as exc:
+        fail(str(exc))
+    if not 0 <= n_ret <= part.num_segments:
+        fail(f"{n_ret} retained segments, expected 0..{part.num_segments}")
+    *lines, blob = rest.split(b"\n", n_ret)
+    if len(lines) < n_ret:
+        lineno = len(lines) + 2
+        fail("truncated text section")
+    pairs = []
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            g, b = map(int, line.split())
+        except ValueError:
+            fail(f"expected '<group> <block>', got {line!r}")
+        pairs.append((g, b))
+    # range and order are checked over the whole array at once: a check
+    # per line costs more than the parse on a file of thousands of pairs
+    try:
+        pairs = np.array(pairs, dtype=np.int64).reshape(n_ret, 2)
+    except OverflowError:
+        # some value needs more than 64 bits, so the range check fails
+        pairs = np.array(pairs, dtype=object).reshape(n_ret, 2)
+    g, b = pairs.T
+    groups, blocks = part.extent_groups, part.blocks_per_group
+    bad = np.flatnonzero((g < 0) | (g >= groups) | (b < 0) | (b >= blocks))
+    if bad.size:
+        lineno = int(bad[0]) + 2
+        fail(f"pair {tuple(pairs[bad[0]].tolist())} out of range for "
+             f"{groups} groups x {blocks} blocks")
+    # in range, lexicographic (group, block) order is ascending flat index
+    bad = np.flatnonzero(np.diff(g * blocks + b) <= 0) + 1
+    if bad.size:
+        i = int(bad[0])
+        lineno = i + 2
+        pair, prev = tuple(pairs[i].tolist()), tuple(pairs[i - 1].tolist())
+        if pair == prev:
+            fail(f"pair {pair} listed twice")
+        fail(f"pair {pair} after {prev}: pairs must be in lexicographic "
+             f"order")
     expect = n_ret * part.block_width * 8
     if len(blob) != expect:
         raise CheckpointError(

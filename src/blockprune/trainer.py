@@ -1,16 +1,20 @@
 """Adam optimization and the three-phase pruning pipeline.
 
-Phase one trains the dense model on the prediction loss alone. Phase two
-continues on the mixed loss, prediction plus the reweighted group-Lasso
-penalty, with the penalty weight lambda ramped linearly from zero and
-the gamma coefficients refreshed at milestone steps. After hard pruning,
-phase three retrains on the prediction loss while forcing pruned entries
-back to zero after every single optimizer step.
+One Adam loop, `_train`, runs all three phases; each phase only sets it
+up. Phase one (`plain_train`) trains the dense model on the prediction
+loss alone. Phase two (`reweighted_train`) adds the reweighted
+group-Lasso penalty over the spec's partitions, with lambda ramped
+linearly from zero and the gamma coefficients refreshed at milestone
+steps. After hard pruning, phase three (`retrain`) trains on the
+prediction loss again and forces pruned entries back to +0.0 after
+every optimizer step.
 
 Batches are cycled in dataset order, never reshuffled, so a run is a
-pure function of (config, seed). With lambda_max = 0 and no milestones
-the reweighted loop takes exactly the same arithmetic path as
-`plain_train`, which the test suite checks bit for bit.
+pure function of (config, seed). The penalty is only computed while
+lambda is positive, so a step at lambda = 0 is exactly a plain Adam
+step, and the loop zeroes nothing when no masks are given: the test
+suite checks bit for bit that phases two and three then reproduce
+`plain_train`.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from .numerics import make_rng
 from .pruner import (
     PruneMask,
     PruneSpec,
-    model_compression_rate,
-    model_compression_rate_all,
+    model_compression_rates,
     prune_model,
 )
 from .regularizer import (
@@ -195,11 +198,76 @@ def _check_finite(value: float, params: ModelParams, step: int) -> None:
     raise NonFiniteError(f"non-finite loss at step {step}")
 
 
-def _maybe_eval(params, eval_dataset, step, every, total, out):
-    if eval_dataset is None or every < 1:
-        return
-    if step % every == 0 or step == total:
-        out.append((step, evaluate(params, eval_dataset)))
+def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
+           hyper: dict, eval_dataset: list[Batch] | None, eval_every: int,
+           parts: dict[str, BlockPartition] | None = None,
+           milestones: frozenset[int] = frozenset(),
+           zero_idx: np.ndarray | None = None,
+           ) -> tuple[RunReport, list[dict[str, GammaWeights]]]:
+    """The Adam loop behind every phase; returns the report and gamma history.
+
+    `hyper` goes into the report and sets the run: learning_rate,
+    batch_size (None: the dataset's) and, for the penalised phase,
+    lambda_max and lambda_warmup_steps (else lambda is 0). Each step
+    refreshes gamma at a milestone, adds the penalty over `parts` once
+    lambda is positive, takes one Adam step, zeroes the flat positions
+    `zero_idx`, and evaluates every `eval_every` steps and at the last.
+    """
+    if not dataset:
+        raise ShapeError("dataset is empty")
+    started = time.perf_counter()
+    report = RunReport(phase=phase, hyper={
+        **hyper,
+        "beta1": ADAM_BETA1,
+        "beta2": ADAM_BETA2,
+        "eps_adam": ADAM_EPS,
+        "batch_size": hyper["batch_size"] or dataset[0].labels.size,
+    })
+    parts = parts or {}
+    gammas = {
+        name: gamma_update(params.tensor(name).matrix, part)
+        for name, part in parts.items()
+    }
+    history = [dict(gammas)]
+    lambda_max = hyper.get("lambda_max", 0.0)
+    warmup = hyper.get("lambda_warmup_steps", 1)
+    state = make_adam(params, hyper["learning_rate"])
+    for s in range(1, steps + 1):
+        if s in milestones:
+            gammas = {
+                name: gamma_update(
+                    params.tensor(name).matrix, part, prev=gammas[name]
+                )
+                for name, part in parts.items()
+            }
+            history.append(dict(gammas))
+        lam = lambda_max * min(1.0, s / warmup)
+        pred, grads = loss_and_gradients(params, dataset[(s - 1) % len(dataset)])
+        pen = 0.0
+        if lam > 0.0:
+            # guard keeps every lambda = 0 step arithmetically identical
+            # to plain Adam on the prediction loss
+            for name, part in parts.items():
+                w = params.tensor(name).matrix
+                pen += penalty(w, part, gammas[name], lam)
+                grads.tensor(name).matrix[...] += penalty_grad(
+                    w, part, gammas[name], lam
+                )
+        mixed = pred + pen
+        _check_finite(mixed, params, s)
+        adam_step(params, grads, state)
+        if zero_idx is not None:
+            params.flat[zero_idx] = 0.0
+            report.masked_abs_max.append(
+                float(np.abs(params.flat[zero_idx]).max()) if zero_idx.size
+                else 0.0
+            )
+        report.steps.append((s, lam, pred, pen, mixed))
+        if eval_dataset is not None and eval_every >= 1 and (
+                s % eval_every == 0 or s == steps):
+            report.accuracy_at.append((s, evaluate(params, eval_dataset)))
+    report.wall_clock = time.perf_counter() - started
+    return report, history
 
 
 def plain_train(params: ModelParams, dataset: list[Batch], steps: int,
@@ -207,46 +275,12 @@ def plain_train(params: ModelParams, dataset: list[Batch], steps: int,
                 eval_dataset: list[Batch] | None = None,
                 eval_every: int = 0) -> RunReport:
     """Reference Adam loop on the prediction loss alone."""
-    if not dataset:
-        raise ShapeError("dataset is empty")
-    started = time.perf_counter()
-    report = RunReport(
-        phase="plain",
-        hyper={
-            "learning_rate": learning_rate,
-            "beta1": ADAM_BETA1,
-            "beta2": ADAM_BETA2,
-            "eps_adam": ADAM_EPS,
-            "batch_size": batch_size or dataset[0].labels.size,
-        },
+    report, _ = _train(
+        params, dataset, steps, "plain",
+        {"learning_rate": learning_rate, "batch_size": batch_size},
+        eval_dataset, eval_every,
     )
-    state = make_adam(params, learning_rate)
-    n_batches = len(dataset)
-    for s in range(1, steps + 1):
-        batch = dataset[(s - 1) % n_batches]
-        pred, grads = loss_and_gradients(params, batch)
-        _check_finite(pred, params, s)
-        adam_step(params, grads, state)
-        report.steps.append((s, 0.0, pred, 0.0, pred))
-        _maybe_eval(params, eval_dataset, s, eval_every, steps, report.accuracy_at)
-    report.wall_clock = time.perf_counter() - started
     return report
-
-
-def _spec_partitions(params: ModelParams,
-                     spec: PruneSpec) -> dict[str, BlockPartition]:
-    parts = {}
-    for entry in spec.entries:
-        t = params.tensor(entry.layer_name)
-        if not t.prunable:
-            raise ShapeError(
-                f"penalty targets non-prunable layer {entry.layer_name!r}"
-            )
-        rows, cols = t.matrix.shape
-        parts[entry.layer_name] = make_partition(
-            rows, cols, entry.axis, entry.num_blocks, entry.layer_name
-        )
-    return parts
 
 
 def reweighted_train(
@@ -260,62 +294,28 @@ def reweighted_train(
     the gamma history (initial values plus one snapshot per milestone).
     """
     config.validate()
-    if not dataset:
-        raise ShapeError("dataset is empty")
-    started = time.perf_counter()
-    lr = config.rw_learning_rate
-    report = RunReport(
-        phase="reweighted",
-        hyper={
-            "learning_rate": lr,
-            "beta1": ADAM_BETA1,
-            "beta2": ADAM_BETA2,
-            "eps_adam": ADAM_EPS,
+    parts = {}
+    for entry in config.prune_spec.entries:
+        t = params.tensor(entry.layer_name)
+        if not t.prunable:
+            raise ShapeError(
+                f"penalty targets non-prunable layer {entry.layer_name!r}"
+            )
+        rows, cols = t.matrix.shape
+        parts[entry.layer_name] = make_partition(
+            rows, cols, entry.axis, entry.num_blocks, entry.layer_name
+        )
+    report, history = _train(
+        params, dataset, config.t1, "reweighted",
+        {
+            "learning_rate": config.rw_learning_rate,
             "batch_size": config.batch_size,
             "lambda_max": config.lambda_max,
             "lambda_warmup_steps": config.lambda_warmup_steps,
         },
+        eval_dataset, config.eval_every,
+        parts=parts, milestones=frozenset(config.milestones),
     )
-    parts = _spec_partitions(params, config.prune_spec)
-    gammas = {
-        name: gamma_update(params.tensor(name).matrix, part)
-        for name, part in parts.items()
-    }
-    history = [dict(gammas)]
-    milestones = set(config.milestones)
-    state = make_adam(params, lr)
-    n_batches = len(dataset)
-    for s in range(1, config.t1 + 1):
-        if s in milestones:
-            gammas = {
-                name: gamma_update(
-                    params.tensor(name).matrix, part, prev=gammas[name]
-                )
-                for name, part in parts.items()
-            }
-            history.append(dict(gammas))
-        lam = config.lambda_max * min(1.0, s / config.lambda_warmup_steps)
-        batch = dataset[(s - 1) % n_batches]
-        pred, grads = loss_and_gradients(params, batch)
-        pen = 0.0
-        if lam > 0.0:
-            # guard keeps the lambda_max=0 path arithmetically identical
-            # to plain_train
-            for name, part in parts.items():
-                w = params.tensor(name).matrix
-                pen += penalty(w, part, gammas[name], lam)
-                grads.tensor(name).matrix[...] += penalty_grad(
-                    w, part, gammas[name], lam
-                )
-        mixed = pred + pen
-        _check_finite(mixed, params, s)
-        adam_step(params, grads, state)
-        report.steps.append((s, lam, pred, pen, mixed))
-        _maybe_eval(
-            params, eval_dataset, s, config.eval_every, config.t1,
-            report.accuracy_at,
-        )
-    report.wall_clock = time.perf_counter() - started
     return params, history, report
 
 
@@ -331,8 +331,6 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
     masked tensors.
     """
     config.validate()
-    if not dataset:
-        raise ShapeError("dataset is empty")
     # flat positions of every pruned entry, found through a store whose
     # views carry the masks; biases are never pruned
     keep = params.zeros_like()
@@ -346,40 +344,20 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
             )
         view[...] = mask.bits
     zero_idx = np.flatnonzero(keep.flat == 0.0)
-    started = time.perf_counter()
-    report = RunReport(
-        phase="retrain",
-        hyper={
-            "learning_rate": config.learning_rate,
-            "beta1": ADAM_BETA1,
-            "beta2": ADAM_BETA2,
-            "eps_adam": ADAM_EPS,
-            "batch_size": config.batch_size,
-        },
-    )
     # apply once up front so a not-yet-pruned matrix cannot leak through;
     # assignment writes +0.0 rather than the -0.0 a multiply can leave
     params.flat[zero_idx] = 0.0
-    masked_total = zero_idx.size
+    report, _ = _train(
+        params, dataset, config.t2, "retrain",
+        {"learning_rate": config.learning_rate,
+         "batch_size": config.batch_size},
+        eval_dataset, config.eval_every, zero_idx=zero_idx,
+    )
+    # the mask is fixed, so the realized sparsity is the same every step
     all_total = sum(mask.bits.size for mask in masks.values())
-    state = make_adam(params, config.learning_rate)
-    n_batches = len(dataset)
-    for s in range(1, config.t2 + 1):
-        batch = dataset[(s - 1) % n_batches]
-        pred, grads = loss_and_gradients(params, batch)
-        _check_finite(pred, params, s)
-        adam_step(params, grads, state)
-        params.flat[zero_idx] = 0.0
-        report.masked_abs_max.append(
-            float(np.abs(params.flat[zero_idx]).max()) if masked_total else 0.0
-        )
-        report.masked_sparsity.append(masked_total / all_total if all_total else 0.0)
-        report.steps.append((s, 0.0, pred, 0.0, pred))
-        _maybe_eval(
-            params, eval_dataset, s, config.eval_every, config.t2,
-            report.accuracy_at,
-        )
-    report.wall_clock = time.perf_counter() - started
+    report.masked_sparsity = (
+        [zero_idx.size / all_total if all_total else 0.0] * config.t2
+    )
     return params, report
 
 
@@ -457,8 +435,9 @@ def run_pipeline(config: TrainConfig, out_dir: str | None = None,
     with _phase("prune"):
         masks = prune_model(params, config.prune_spec)
         pruned_accuracy = evaluate(params, eval_ds)
-        compression = model_compression_rate(params, masks) if masks else 1.0
-        compression_all = model_compression_rate_all(params, masks)
+        compression, compression_all = (
+            model_compression_rates(params, masks) if masks else (1.0, 1.0)
+        )
     say(
         f"pruned: compression {compression:.3f}x over prunable tensors, "
         f"accuracy {pruned_accuracy:.4f} before retraining"

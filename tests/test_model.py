@@ -313,6 +313,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"manifest\.txt:\d+"):
             load_checkpoint(tmp_path / "ck")
 
+    def test_duplicate_tensor_reports_line_number(self, tmp_path):
+        params = tiny_model()
+        save_checkpoint(params, tmp_path / "ck")
+        manifest = tmp_path / "ck" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        wq = next(i for i, line in enumerate(lines) if line.startswith("Wq "))
+        lines.insert(wq + 1, lines[wq])
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError,
+                           match=rf"manifest\.txt:{wq + 2}: tensor 'Wq' listed twice"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(tmp_path / "nowhere")

@@ -10,7 +10,7 @@ from blockprune.pruner import (
     compression_rate,
     load_masks,
     mask_from_zeroed,
-    model_compression_rate,
+    model_compression_rates,
     prune_model,
     prune_percentile,
     prune_threshold,
@@ -186,7 +186,13 @@ class TestPruneModel:
         total = sum(
             t.matrix.size for _, t in params.items() if t.prunable
         )
-        assert model_compression_rate(params, masks) == total / (total - 128)
+        everything = sum(
+            t.matrix.size + (0 if t.bias is None else t.bias.size)
+            for _, t in params.items()
+        )
+        prunable, all_rate = model_compression_rates(params, masks)
+        assert prunable == total / (total - 128)
+        assert all_rate == everything / (everything - 128)
 
 
 class TestPruneEntryValidation:

@@ -18,7 +18,7 @@ from blockprune.sparse import (
     storage_cost,
     to_block_structured,
     to_coo,
-    whole_block_prune,
+    whole_block_cost,
 )
 
 
@@ -101,30 +101,20 @@ class TestStorageCost:
 
     def test_whole_block_cost(self):
         w = np.random.default_rng(76).normal(size=(8, 8))
-        _, _, m = whole_block_prune(w, 4, 4, target_sparsity=0.5)
-        rep = storage_cost(m)
+        _, mask = prune_percentile(w, make_partition(8, 8, ROW, 2, "w"), 0.5)
+        rep = storage_cost(whole_block_cost(mask))
         assert rep.value_units == 2 * 16
         assert rep.index_units == 2 * 2
         assert rep.total_units == 36
+        # 3-wide row segments cannot tile 8 rows
+        _, mask = prune_percentile(
+            np.ones((8, 12)), make_partition(8, 12, ROW, 4, "w"), 0.5
+        )
+        assert whole_block_cost(mask) is None
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ShapeError):
             storage_cost("not a matrix")
-
-
-class TestWholeBlockPrune:
-    def test_zeroes_lowest_frobenius_tiles(self):
-        w = np.ones((4, 4))
-        w[:2, :2] = 0.1
-        pruned, keep, m = whole_block_prune(w, 2, 2, target_sparsity=0.25)
-        assert m.retained_tiles == 3
-        assert not keep[0, 0]
-        assert np.all(pruned[:2, :2] == 0.0)
-        assert np.array_equal(pruned[2:, :], w[2:, :])
-
-    def test_indivisible_tiles_rejected(self):
-        with pytest.raises(ShapeError):
-            whole_block_prune(np.ones((4, 6)), 2, 4, target_sparsity=0.5)
 
 
 class TestSpmm:
@@ -205,4 +195,48 @@ class TestFileRoundtrip:
         save_block_structured(to_block_structured(w, mask), path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(CheckpointError):
+            load_block_structured(path)
+
+
+class TestBlockFileValidation:
+    """Every malformed line is a CheckpointError naming path:line."""
+
+    def edited(self, tmp_path, edit):
+        """A valid 8x8 file with 8 retained pairs; its header and pair
+        lines pass through `edit`, the value blob is kept."""
+        rng = np.random.default_rng(83)
+        w, mask = masked_matrix(rng, 8, 8, ROW, 2, 0.5)
+        path = tmp_path / "m.blk"
+        save_block_structured(to_block_structured(w, mask), path)
+        *text, blob = path.read_bytes().split(b"\n", 9)
+        lines = edit([line.decode() for line in text])
+        path.write_bytes("".join(f"{line}\n" for line in lines).encode() + blob)
+        return path
+
+    @pytest.mark.parametrize("pair", ["99 0", "0 -1", str(10**20) + " 0"])
+    def test_out_of_range_pair(self, tmp_path, pair):
+        path = self.edited(tmp_path, lambda ls: [ls[0], pair, *ls[2:]])
+        with pytest.raises(CheckpointError, match=r"m\.blk:2: .*out of range"):
+            load_block_structured(path)
+
+    def test_wrong_field_count(self, tmp_path):
+        path = self.edited(tmp_path, lambda ls: [*ls[:3], "1 0 5", *ls[4:]])
+        with pytest.raises(CheckpointError, match=r"m\.blk:4: expected"):
+            load_block_structured(path)
+
+    def test_duplicate_pair(self, tmp_path):
+        path = self.edited(tmp_path, lambda ls: [*ls[:8], ls[7]])
+        with pytest.raises(CheckpointError, match=r"m\.blk:9: .*listed twice"):
+            load_block_structured(path)
+
+    def test_pairs_out_of_order(self, tmp_path):
+        path = self.edited(tmp_path, lambda ls: [ls[0], *ls[:0:-1]])
+        with pytest.raises(CheckpointError, match=r"m\.blk:3: .*lexicographic"):
+            load_block_structured(path)
+
+    def test_blocks_not_dividing_the_extent(self, tmp_path):
+        path = self.edited(
+            tmp_path, lambda ls: ["blockstructured v1 8 8 row 3 8", *ls[1:]]
+        )
+        with pytest.raises(CheckpointError, match=r"m\.blk:1: .*divide"):
             load_block_structured(path)

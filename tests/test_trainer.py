@@ -212,6 +212,16 @@ class TestRetrain:
         _, report = retrain(params, masks, data, cfg)
         np.testing.assert_allclose(report.masked_sparsity, expect, rtol=0)
 
+    def test_retrain_without_masks_is_plain_adam(self):
+        cfg = tiny_config(t2=30)
+        params_a, data = tiny_setup(seed=9, n=96)
+        params_b = params_a.clone()
+
+        plain_train(params_a, data, steps=30, learning_rate=cfg.learning_rate)
+        params_b, _ = retrain(params_b, {}, data, cfg)
+
+        assert params_a.flat.tobytes() == params_b.flat.tobytes()
+
     def test_shape_mismatch_rejected(self):
         cfg = tiny_config()
         params, data = tiny_setup(seed=6)
