@@ -145,23 +145,24 @@ def cmd_storage_report(args) -> int:
             raise MaskError(
                 f"mask names layer {name!r} absent from the checkpoint"
             )
-        if params.tensor(name).matrix.shape != mask.bits.shape:
+        shape = mask.partition.matrix_shape
+        if params.tensor(name).matrix.shape != shape:
             raise MaskError(
-                f"mask shape {mask.bits.shape} does not match layer "
+                f"mask shape {shape} does not match layer "
                 f"{name!r} {params.tensor(name).matrix.shape}"
             )
     print("# blockprune storage report v1")
     print(f"# checkpoint={args.checkpoint} mask={args.mask}")
-    totals = {"dense": 0, "coo": 0, "block_structured": 0}
-    wb_total: int | None = 0
+    totals = dict.fromkeys(("dense", "coo", "block_structured", "whole_block"), 0)
+    tiles_divide = True
     for name, mask in masks.items():
         w = params.tensor(name).matrix * mask.bits
+        wb = whole_block_cost(mask)
         reports = [
             storage_cost(w),
             storage_cost(to_coo(w)),
             storage_cost(to_block_structured(w, mask)),
-        ]
-        wb = whole_block_cost(mask)
+        ] + ([] if wb is None else [wb])
         print(f"layer {name} {w.shape[0]}x{w.shape[1]} "
               f"sparsity={mask_sparsity(mask)!r}")
         for rep in reports:
@@ -170,14 +171,8 @@ def cmd_storage_report(args) -> int:
             totals[rep.format_name] += rep.total_units
         if wb is None:
             print("  whole_block n/a (tile does not divide matrix)")
-            wb_total = None
-        else:
-            rep = storage_cost(wb)
-            print(f"  {rep.format_name} total={rep.total_units} "
-                  f"values={rep.value_units} index={rep.index_units}")
-            if wb_total is not None:
-                wb_total += rep.total_units
-    wb_text = "n/a" if wb_total is None else str(wb_total)
+            tiles_divide = False
+    wb_text = str(totals["whole_block"]) if tiles_divide else "n/a"
     print(f"totals: dense={totals['dense']} coo={totals['coo']} "
           f"whole_block={wb_text} "
           f"block_structured={totals['block_structured']}")

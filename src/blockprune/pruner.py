@@ -3,8 +3,13 @@
 Two modes. Threshold mode zeroes every segment whose l2 norm is <= t_b.
 Percentile mode zeroes exactly floor(target * num_segments) segments,
 smallest norms first, with ties broken by (group, block) index so masks
-are reproducible. Only whole segments are ever zeroed, so every mask is
-block-structured by construction.
+are reproducible.
+
+A mask is its keep grid: one boolean per segment, in the
+(group, block) layout of `regularizer.segments`. A mask therefore cannot
+zero part of a segment, so every mask is block-structured by
+construction; the per-entry 0/1 matrix is derived from the grid on
+demand.
 
 Biases are never pruned.
 """
@@ -15,24 +20,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, MaskError, ShapeError
+from .errors import CheckpointError, MaskError, PartitionError, ShapeError
 from .numerics import COLUMN, ROW
-from .regularizer import BlockPartition, group_norms, make_partition, oriented
+from .regularizer import BlockPartition, group_norms, make_partition, segments
 
 
 @dataclass(frozen=True)
 class PruneMask:
-    bits: np.ndarray  # 0.0 / 1.0, same shape as the matrix it masks
+    keep: np.ndarray  # (extent_groups, blocks_per_group) bool per segment
     partition: BlockPartition
     layer_name: str = ""
 
-    @property
-    def rows(self) -> int:
-        return self.bits.shape[0]
+    def __post_init__(self):
+        grid = (self.partition.extent_groups, self.partition.blocks_per_group)
+        if self.keep.dtype != bool or self.keep.shape != grid:
+            raise MaskError(
+                f"keep grid must be bool {grid}, got {self.keep.dtype} "
+                f"{self.keep.shape}"
+            )
 
     @property
-    def cols(self) -> int:
-        return self.bits.shape[1]
+    def bits(self) -> np.ndarray:
+        """0.0 / 1.0 per entry, same shape as the matrix it masks."""
+        bits = np.empty(self.partition.matrix_shape)
+        segments(bits, self.partition)[...] = self.keep[:, :, None]
+        return bits
 
 
 @dataclass(frozen=True)
@@ -60,24 +72,25 @@ class PruneSpec:
 
 
 def sparsity(mask: PruneMask) -> float:
-    return float(1.0 - mask.bits.sum() / mask.bits.size)
+    # every segment holds block_width entries, so the segment ratio is
+    # the entry ratio, rounded the same way
+    return float(1.0 - mask.keep.sum() / mask.keep.size)
 
 
 def zeroed_pairs(mask: PruneMask) -> list[tuple[int, int]]:
     """Sorted (group, block) pairs whose segments are zeroed."""
-    part = mask.partition
-    v = oriented(mask.bits, part)
-    seg = v.reshape(part.extent_groups, part.blocks_per_group, part.block_width)
-    zero = seg.sum(axis=2) == 0
-    gs, bs = np.nonzero(zero)
+    gs, bs = np.nonzero(~mask.keep)
     return list(zip(gs.tolist(), bs.tolist()))
 
 
-def _mask_from_keep(keep: np.ndarray, part: BlockPartition, name: str) -> PruneMask:
-    """keep (groups, blocks) booleans -> full-resolution bit mask."""
-    expanded = np.repeat(keep.astype(np.float64), part.block_width, axis=1)
-    bits = expanded if part.axis == ROW else expanded.T
-    return PruneMask(bits=bits, partition=part, layer_name=name)
+def _zero_pair(keep: np.ndarray, g: int, b: int) -> None:
+    groups, blocks = keep.shape
+    if not (0 <= g < groups and 0 <= b < blocks):
+        raise MaskError(f"zeroed pair ({g}, {b}) out of range for "
+                        f"{groups} groups x {blocks} blocks")
+    if not keep[g, b]:
+        raise MaskError(f"zeroed pair ({g}, {b}) listed twice")
+    keep[g, b] = False
 
 
 def mask_from_zeroed(
@@ -85,25 +98,8 @@ def mask_from_zeroed(
 ) -> PruneMask:
     keep = np.ones((part.extent_groups, part.blocks_per_group), dtype=bool)
     for g, b in pairs:
-        if not (0 <= g < part.extent_groups and 0 <= b < part.blocks_per_group):
-            raise MaskError(f"zeroed pair ({g}, {b}) out of range for partition")
-        if not keep[g, b]:
-            raise MaskError(f"zeroed pair ({g}, {b}) listed twice")
-        keep[g, b] = False
-    return _mask_from_keep(keep, part, layer_name)
-
-
-def validate_block_structure(mask: PruneMask) -> None:
-    part = mask.partition
-    v = oriented(mask.bits, part)
-    seg = v.reshape(part.extent_groups, part.blocks_per_group, part.block_width)
-    per_seg = seg.sum(axis=2)
-    ok = (per_seg == 0) | (per_seg == part.block_width)
-    if not bool(ok.all()):
-        raise MaskError(
-            f"mask for {mask.layer_name!r} is not block-structured "
-            f"(some segment is partially zeroed)"
-        )
+        _zero_pair(keep, g, b)
+    return PruneMask(keep, part, layer_name)
 
 
 def _apply(w: np.ndarray, mask: PruneMask) -> np.ndarray:
@@ -119,7 +115,7 @@ def prune_threshold(
         raise ShapeError(f"threshold must be >= 0, got {t_b}")
     norms = group_norms(w, part)
     keep = norms > t_b  # inclusive prune: norm == t_b goes
-    mask = _mask_from_keep(keep, part, part.layer_name)
+    mask = PruneMask(keep, part, part.layer_name)
     return _apply(w, mask), mask
 
 
@@ -137,14 +133,16 @@ def prune_percentile(
     order = np.argsort(norms.ravel(), kind="stable")
     keep = np.ones(norms.size, dtype=bool)
     keep[order[:n_zero]] = False
-    mask = _mask_from_keep(keep.reshape(norms.shape), part, part.layer_name)
+    mask = PruneMask(keep.reshape(norms.shape), part, part.layer_name)
     return _apply(w, mask), mask
 
 
 def compression_rate(mask: PruneMask) -> float:
-    """Total entries / retained entries, computed from integer counts."""
-    total = mask.bits.size
-    retained = int(round(float(mask.bits.sum())))
+    """Total entries / retained entries, computed from integer counts
+    (segments hold equal entry counts, so segment counts give the same
+    ratio)."""
+    total = mask.keep.size
+    retained = int(mask.keep.sum())
     if retained == 0:
         raise MaskError(
             f"mask for {mask.layer_name!r} retains nothing; "
@@ -194,7 +192,8 @@ def model_compression_rates(params,
     for name, t in params.items():
         kept = t.matrix.size
         if name in masks:
-            kept = int(round(float(masks[name].bits.sum())))
+            mask = masks[name]
+            kept = int(mask.keep.sum()) * mask.partition.block_width
         if t.prunable:
             total += t.matrix.size
             retained += kept
@@ -217,9 +216,10 @@ def save_masks(
         lines.append(f"# {key}={value}")
     for name, mask in masks.items():
         part = mask.partition
+        rows, cols = part.matrix_shape
         lines.append(f"[layer {name}]")
-        lines.append(f"rows = {mask.rows}")
-        lines.append(f"cols = {mask.cols}")
+        lines.append(f"rows = {rows}")
+        lines.append(f"cols = {cols}")
         lines.append(f"axis = {part.axis}")
         lines.append(f"num_blocks = {part.blocks_per_group}")
         pairs = zeroed_pairs(mask)
@@ -231,6 +231,7 @@ def save_masks(
 
 
 def load_masks(path) -> dict[str, PruneMask]:
+    """Read a mask file, rejecting any malformed line with path:line."""
     masks: dict[str, PruneMask] = {}
     try:
         with open(path, encoding="ascii") as fh:
@@ -251,6 +252,8 @@ def load_masks(path) -> dict[str, PruneMask]:
         if not (line.startswith("[layer ") and line.endswith("]")):
             fail(i, f"expected a [layer ...] header, got {line!r}")
         name = line[len("[layer ") : -1]
+        if name in masks:
+            fail(i, f"layer {name!r} has a second section")
         fields = {}
         for key in ("rows", "cols", "axis", "num_blocks", "zeroed"):
             i += 1
@@ -259,17 +262,24 @@ def load_masks(path) -> dict[str, PruneMask]:
             k, _, v = raw[i].partition("=")
             if k.strip() != key:
                 fail(i, f"expected {key!r}, got {raw[i]!r}")
-            fields[key] = v.strip()
-        try:
-            rows, cols = int(fields["rows"]), int(fields["cols"])
-            num_blocks = int(fields["num_blocks"])
-            n_zeroed = int(fields["zeroed"])
-        except ValueError:
-            fail(i, f"non-integer field in section for layer {name!r}")
-        axis = fields["axis"]
-        if axis not in (ROW, COLUMN):
-            fail(i, f"bad axis {axis!r}")
-        pairs = []
+            v = v.strip()
+            if key == "axis" and v not in (ROW, COLUMN):
+                fail(i, f"bad axis {v!r}")
+            if key != "axis":
+                try:
+                    v = int(v)
+                except ValueError:
+                    fail(i, f"non-integer {key} {v!r} for layer {name!r}")
+            fields[key] = v
+            if key == "num_blocks":
+                try:
+                    part = make_partition(**fields, layer_name=name)
+                except PartitionError as exc:
+                    fail(i, str(exc))
+        n_zeroed = fields["zeroed"]
+        if n_zeroed < 0:
+            fail(i, f"negative zeroed count {n_zeroed}")
+        keep = np.ones((part.extent_groups, part.blocks_per_group), dtype=bool)
         for _ in range(n_zeroed):
             i += 1
             if i >= n:
@@ -278,10 +288,11 @@ def load_masks(path) -> dict[str, PruneMask]:
             if len(parts_) != 3 or parts_[0] != "zero":
                 fail(i, f"expected 'zero <group> <block>', got {raw[i]!r}")
             try:
-                pairs.append((int(parts_[1]), int(parts_[2])))
+                _zero_pair(keep, int(parts_[1]), int(parts_[2]))
             except ValueError:
                 fail(i, f"non-integer zero pair {raw[i]!r}")
-        part = make_partition(rows, cols, axis, num_blocks, name)
-        masks[name] = mask_from_zeroed(part, pairs, name)
+            except MaskError as exc:
+                fail(i, str(exc))
+        masks[name] = PruneMask(keep, part, name)
         i += 1
     return masks

@@ -4,7 +4,9 @@ A partition slices a matrix into fixed-width segments: with row axis,
 every row splits into `blocks_per_group` runs of `block_width` columns;
 with column axis the same thing happens down each column. The segment is
 the atomic unit everywhere else (penalty groups, prune decisions, sparse
-storage), so both axes share one code path through a transpose view.
+storage), so both axes share one code path: `segments` views any matrix
+as (extent_groups, blocks_per_group, block_width), through a transpose
+on the column axis, and everything downstream indexes segment (g, b).
 
 Gamma coefficients are recomputed from current weights only at training
 milestones and are treated as constants in between; the penalty gradient
@@ -13,7 +15,7 @@ never differentiates through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,21 +77,23 @@ def make_partition(
     )
 
 
-def oriented(w: np.ndarray, part: BlockPartition) -> np.ndarray:
-    """View of w with groups on rows, regardless of partition axis."""
+def segments(w: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """View of w as (extent_groups, blocks_per_group, block_width) on
+    either axis, without a copy: [g, b] is segment (g, b), and writes
+    through the view land in w."""
     w = as_matrix(w)
     if w.shape != part.matrix_shape:
         raise ShapeError(
             f"matrix shape {w.shape} does not match partition "
             f"{part.matrix_shape} for layer {part.layer_name!r}"
         )
-    return w if part.axis == ROW else w.T
+    v = w if part.axis == ROW else w.T
+    return v.reshape(part.extent_groups, part.blocks_per_group, part.block_width)
 
 
 def group_norms(w: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Per-segment l2 norms, shape (extent_groups, blocks_per_group)."""
-    v = oriented(w, part)
-    segs = v.reshape(part.extent_groups, part.blocks_per_group, part.block_width)
+    segs = segments(w, part)
     return np.sqrt((segs * segs).sum(axis=2))
 
 
@@ -138,9 +142,7 @@ def penalty_grad(
     all-zero segments get an exactly zero gradient.
     """
     _check_gamma(part, gamma, lam)
-    v = oriented(w, part)
-    norms = group_norms(w, part)
-    coef = lam * gamma.values / (norms + eps_grad)
-    segs = v.reshape(part.extent_groups, part.blocks_per_group, part.block_width)
-    out = (segs * coef[:, :, None]).reshape(v.shape)
-    return out if part.axis == ROW else out.T
+    coef = lam * gamma.values / (group_norms(w, part) + eps_grad)
+    out = np.empty(part.matrix_shape)
+    np.multiply(segments(w, part), coef[:, :, None], out=segments(out, part))
+    return out

@@ -7,13 +7,14 @@ slot plus two index slots. A retained block segment costs block_width
 value slots plus two index slots (its group and block index). Byte-level
 packing is deliberately out of scope.
 
-The block-structured kernel accumulates rank-1 updates in ascending
-contraction order while skipping zeroed segments, so its output is
-bit-identical to `numerics.matmul` of the densified matrix. (The one
-exception is the sign of an exactly-zero output entry, which cannot
-occur with continuous random data.) Column-partitioned matrices are
-stored as the row format of the transpose and multiplied through the
-same path with an orientation switch.
+The block-structured kernel runs one loop over block indices for both
+axes. Per block it takes the retained segments, gathers the output rows
+they touch once (the segments' groups on the row axis, the block's row
+span on the column axis) and adds one rank-1 update per contraction
+index, in ascending order, skipping zeroed segments. Its output is
+therefore bit-identical to `numerics.matmul` of the densified matrix.
+(The one exception is the sign of an exactly-zero output entry, which
+cannot occur with continuous random data.)
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import numpy as np
 
 from .errors import CheckpointError, MaskError, PartitionError, ShapeError
 from .numerics import ROW, as_matrix, matmul
-from .pruner import PruneMask, prune_percentile, sparsity, \
-    validate_block_structure
-from .regularizer import BlockPartition, make_partition, oriented
+from .pruner import PruneMask, prune_percentile, sparsity
+from .regularizer import BlockPartition, make_partition, segments
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,6 @@ class BlockStructuredMatrix:
     @property
     def retained_count(self) -> int:
         return int(self.retained.shape[0])
-
-
-@dataclass(frozen=True)
-class WholeBlockMatrix:
-    """Storage-cost comparator for pruning whole square tiles."""
-
-    rows: int
-    cols: int
-    tile_rows: int
-    tile_cols: int
-    retained_tiles: int
 
 
 @dataclass(frozen=True)
@@ -97,37 +86,21 @@ def densify_coo(m: CooMatrix) -> np.ndarray:
 
 def to_block_structured(w: np.ndarray, mask: PruneMask) -> BlockStructuredMatrix:
     w = as_matrix(w)
-    if w.shape != mask.bits.shape:
-        raise ShapeError(
-            f"matrix shape {w.shape} does not match mask {mask.bits.shape}"
-        )
-    validate_block_structure(mask)
-    if np.any((w != 0.0) & (mask.bits == 0.0)):
+    segs = segments(w, mask.partition)  # ShapeError on a shape mismatch
+    if np.any(segs[~mask.keep] != 0.0):
         raise MaskError("matrix has nonzero entries outside the mask")
-    part = mask.partition
-    v = oriented(w, part)
-    segs = v.reshape(part.extent_groups, part.blocks_per_group, part.block_width)
-    keep = (
-        oriented(mask.bits, part)
-        .reshape(part.extent_groups, part.blocks_per_group, part.block_width)
-        .sum(axis=2)
-        > 0
-    )
-    gs, bs = np.nonzero(keep)  # row-major: (group, block) lexicographic
-    retained = np.stack([gs, bs], axis=1).astype(np.int64)
-    values = segs[gs, bs].astype(np.float64)
+    gs, bs = np.nonzero(mask.keep)  # row-major: (group, block) lexicographic
     return BlockStructuredMatrix(
-        rows=w.shape[0], cols=w.shape[1], partition=part,
-        retained=retained, values=values,
+        rows=w.shape[0], cols=w.shape[1], partition=mask.partition,
+        retained=np.stack([gs, bs], axis=1).astype(np.int64),
+        values=segs[gs, bs],
     )
 
 
 def densify(m: BlockStructuredMatrix) -> np.ndarray:
-    part = m.partition
-    v = np.zeros((part.extent_groups, part.blocks_per_group * part.block_width))
-    segs = v.reshape(part.extent_groups, part.blocks_per_group, part.block_width)
-    segs[m.retained[:, 0], m.retained[:, 1]] = m.values
-    return v if part.axis == ROW else v.T.copy()
+    out = np.zeros(m.partition.matrix_shape)
+    segments(out, m.partition)[m.retained[:, 0], m.retained[:, 1]] = m.values
+    return out
 
 
 def storage_cost(obj) -> StorageReport:
@@ -141,32 +114,25 @@ def storage_cost(obj) -> StorageReport:
             value_units=n * obj.partition.block_width,
             index_units=2 * n,
         )
-    if isinstance(obj, WholeBlockMatrix):
-        return StorageReport(
-            "whole_block",
-            value_units=obj.retained_tiles * obj.tile_rows * obj.tile_cols,
-            index_units=2 * obj.retained_tiles,
-        )
     if isinstance(obj, np.ndarray):
         m = as_matrix(obj)
         return StorageReport("dense", value_units=m.size, index_units=0)
     raise ShapeError(f"no storage model for {type(obj).__name__}")
 
 
-def whole_block_cost(mask: PruneMask) -> WholeBlockMatrix | None:
-    """Hypothetical whole-tile pruning of the same matrix at the same
-    sparsity, square tiles of the mask's block width; None when the
+def whole_block_cost(mask: PruneMask) -> StorageReport | None:
+    """Cost of hypothetical whole-tile pruning of the same matrix at the
+    same sparsity, square tiles of the mask's block width; None when the
     tile does not divide the matrix. Comparator only: no tile is
     zeroed, and there is no kernel for this format."""
     width = mask.partition.block_width
-    rows, cols = mask.bits.shape
+    rows, cols = mask.partition.matrix_shape
     if rows % width or cols % width:
         return None
     tiles = (rows // width) * (cols // width)
-    zeroed = int(sparsity(mask) * tiles)  # floor
-    return WholeBlockMatrix(
-        rows=rows, cols=cols, tile_rows=width, tile_cols=width,
-        retained_tiles=tiles - zeroed,
+    kept = tiles - int(sparsity(mask) * tiles)  # floor of the zeroed tiles
+    return StorageReport(
+        "whole_block", value_units=kept * width * width, index_units=2 * kept
     )
 
 
@@ -178,42 +144,43 @@ def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
             f"spmm shapes incompatible: {a.rows}x{a.cols} x {b.shape}"
         )
     part = a.partition
+    # the column axis takes its contraction order from the pair order
+    flat = a.retained[:, 0] * part.blocks_per_group + a.retained[:, 1]
+    if np.any(np.diff(flat) <= 0):
+        raise ShapeError("retained pairs must be unique and in "
+                         "lexicographic (group, block) order")
     width = part.block_width
     n = b.shape[1]
-    if part.axis == ROW:
-        out = np.zeros((a.rows, n))
-        # ascending block order, ascending k inside each block, matching
-        # the fixed contraction order of numerics.matmul
-        for block in range(part.blocks_per_group):
-            sel = a.retained[:, 1] == block
-            if not sel.any():
-                continue
-            groups = a.retained[sel, 0]
-            vals = a.values[sel]
-            base = block * width
-            if groups.size == part.extent_groups:
-                for k in range(width):
-                    out += vals[:, k : k + 1] * b[base + k]
-            else:
-                for k in range(width):
-                    out[groups] += vals[:, k : k + 1] * b[base + k]
-        return out
-    # column axis: groups are columns of the true matrix, i.e. the
-    # contraction index; walk them in ascending order
     out = np.zeros((a.rows, n))
-    order = np.lexsort((a.retained[:, 1], a.retained[:, 0]))
-    retained = a.retained[order]
-    values = a.values[order]
     # one scratch product starting on a 64-byte boundary: a fresh
-    # temporary per segment lands wherever the allocator puts it, and the
+    # temporary per update lands wherever the allocator puts it, and the
     # loop runs ~30% slower when that is off a cache line
-    raw = np.empty(width * n + 8)
+    size = max(part.extent_groups, width) * n
+    raw = np.empty(size + 8)
     start = (-raw.ctypes.data % 64) // 8
-    prod = raw[start : start + width * n].reshape(width, n)
-    for (col, block), seg in zip(retained.tolist(), values):
+    scratch = raw[start : start + size]
+    for block in range(part.blocks_per_group):
+        sel = a.retained[:, 1] == block
+        if not sel.any():
+            continue
+        groups, vals = a.retained[sel, 0], a.values[sel]
         base = block * width
-        np.multiply(seg[:, None], b[col], out=prod)
-        out[base : base + width] += prod
+        if part.axis == ROW:
+            # segment (g, block) is row g over contraction indices
+            # base..base+width
+            rows, coef, ks = groups, vals, range(base, base + width)
+        else:
+            # segment (c, block) is column c over rows base..base+width;
+            # groups ascend because retained pairs are sorted
+            rows, coef, ks = slice(base, base + width), vals.T, groups.tolist()
+        acc = out[rows]
+        prod = scratch[: coef.shape[0] * n].reshape(coef.shape[0], n)
+        # ascending contraction order within the block and across blocks,
+        # the fixed order of numerics.matmul for every output entry
+        for j, k in enumerate(ks):
+            np.multiply(coef[:, j : j + 1], b[k], out=prod)
+            acc += prod
+        out[rows] = acc
     return out
 
 

@@ -337,9 +337,10 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
     keep.flat[...] = 1.0
     for name, mask in masks.items():
         view = keep.tensor(name).matrix
-        if mask.bits.shape != view.shape:
+        shape = mask.partition.matrix_shape
+        if shape != view.shape:
             raise MaskError(
-                f"mask shape {mask.bits.shape} does not match layer "
+                f"mask shape {shape} does not match layer "
                 f"{name!r} {view.shape}"
             )
         view[...] = mask.bits

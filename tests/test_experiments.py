@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockprune.errors import ConfigError, ShapeError
+from blockprune.errors import ConfigError
 from blockprune.experiments import (
     SweepSpec,
     apply_value,

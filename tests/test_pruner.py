@@ -6,6 +6,7 @@ from blockprune.model import ArchConfig, build_model
 from blockprune.numerics import COLUMN, ROW
 from blockprune.pruner import (
     PruneEntry,
+    PruneMask,
     PruneSpec,
     compression_rate,
     load_masks,
@@ -16,10 +17,9 @@ from blockprune.pruner import (
     prune_threshold,
     save_masks,
     sparsity,
-    validate_block_structure,
     zeroed_pairs,
 )
-from blockprune.regularizer import group_norms, make_partition
+from blockprune.regularizer import make_partition
 
 
 def segment_matrix(norms_by_segment, width=2):
@@ -88,16 +88,26 @@ class TestMaskStructure:
         assert zeroed_pairs(mask) == sorted(zeroed)
         assert sparsity(mask) == 3 / 16
 
-    def test_validate_accepts_segment_aligned_bits(self):
-        p = make_partition(2, 4, ROW, 2, "w")
-        validate_block_structure(mask_from_zeroed(p, [(1, 0)]))
+    def test_column_axis_mask(self):
+        p = make_partition(4, 3, COLUMN, 2, "w")  # 3 columns of 2 runs
+        mask = mask_from_zeroed(p, [(2, 0), (0, 1)])
+        assert mask.keep.tolist() == [[True, False], [True, True],
+                                      [False, True]]
+        assert mask.bits.tolist() == [
+            [1.0, 1.0, 0.0],
+            [1.0, 1.0, 0.0],
+            [0.0, 1.0, 1.0],
+            [0.0, 1.0, 1.0],
+        ]
+        assert zeroed_pairs(mask) == [(0, 1), (2, 0)]
+        assert sparsity(mask) == 1.0 - 8 / 12  # retained over total
 
-    def test_validate_rejects_partial_segment(self):
+    def test_keep_grid_must_match_partition(self):
         p = make_partition(2, 4, ROW, 2, "w")
-        mask = mask_from_zeroed(p, [(1, 0)])
-        mask.bits[1, 0] = 1.0  # half of a zeroed segment flipped back on
-        with pytest.raises(MaskError, match="segment"):
-            validate_block_structure(mask)
+        with pytest.raises(MaskError, match="keep grid"):
+            PruneMask(np.ones((2, 4), dtype=bool), p)
+        with pytest.raises(MaskError, match="keep grid"):
+            PruneMask(np.ones((2, 2)), p)  # 0/1 floats, not a bool grid
 
     def test_duplicate_zeroed_pair_rejected(self):
         p = make_partition(2, 4, ROW, 2, "w")
@@ -142,7 +152,6 @@ class TestPruneModel:
         for name, mask in masks.items():
             w = params.tensor(name).matrix
             assert np.count_nonzero(w * (1 - mask.bits)) == 0
-            validate_block_structure(mask)
 
     def test_result_order_follows_the_registry(self):
         params = self.make_params()
@@ -245,6 +254,52 @@ class TestMaskIO:
         path.write_text(path.read_text().replace("zero 0 1", "zero x 0"))
         lineno = path.read_text().splitlines().index("zero x 0") + 1
         with pytest.raises(CheckpointError, match=rf"m\.txt:{lineno}:"):
+            load_masks(path)
+
+    def edited(self, tmp_path, old, new):
+        """An 8x8 row-axis mask file for layer Wq with pair (1, 0) zeroed,
+        `old` replaced by `new`; lines 6, 7 and 8 are num_blocks, zeroed
+        and the one pair."""
+        p = make_partition(8, 8, ROW, 2, "Wq")
+        path = tmp_path / "m.txt"
+        save_masks({"Wq": mask_from_zeroed(p, [(1, 0)], "Wq")}, path)
+        text = path.read_text()
+        assert text.splitlines()[5:8] == ["num_blocks = 2", "zeroed = 1",
+                                          "zero 1 0"]
+        path.write_text(text.replace(old, new))
+        return path
+
+    def test_pair_out_of_range_reports_line_number(self, tmp_path):
+        path = self.edited(tmp_path, "zero 1 0", "zero 99 0")
+        with pytest.raises(CheckpointError, match=r"m\.txt:8: .*out of range"):
+            load_masks(path)
+
+    def test_repeated_pair_reports_line_number(self, tmp_path):
+        path = self.edited(tmp_path, "zeroed = 1\nzero 1 0",
+                           "zeroed = 2\nzero 1 0\nzero 1 0")
+        with pytest.raises(CheckpointError, match=r"m\.txt:9: .*twice"):
+            load_masks(path)
+
+    def test_blocks_not_dividing_the_extent(self, tmp_path):
+        path = self.edited(tmp_path, "num_blocks = 2", "num_blocks = 3")
+        with pytest.raises(CheckpointError, match=r"m\.txt:6: .*divide"):
+            load_masks(path)
+
+    def test_bad_field_reports_its_own_line(self, tmp_path):
+        path = self.edited(tmp_path, "rows = 8", "rows = x")
+        with pytest.raises(CheckpointError, match=r"m\.txt:3: .*rows 'x'"):
+            load_masks(path)
+
+    def test_negative_zeroed_count(self, tmp_path):
+        path = self.edited(tmp_path, "zeroed = 1\nzero 1 0", "zeroed = -1")
+        with pytest.raises(CheckpointError, match=r"m\.txt:7: .*negative"):
+            load_masks(path)
+
+    def test_second_section_for_a_layer(self, tmp_path):
+        path = self.edited(tmp_path, "zero 1 0\n",
+                           "zero 1 0\n[layer Wq]\nrows = 8\ncols = 8\n"
+                           "axis = row\nnum_blocks = 2\nzeroed = 0\n")
+        with pytest.raises(CheckpointError, match=r"m\.txt:9: .*second"):
             load_masks(path)
 
     def test_missing_file(self, tmp_path):

@@ -8,9 +8,9 @@ from blockprune.regularizer import (
     gamma_update,
     group_norms,
     make_partition,
-    oriented,
     penalty,
     penalty_grad,
+    segments,
 )
 
 
@@ -155,13 +155,23 @@ class TestPenaltyGrad:
             penalty_grad(w, p, gamma_update(w, other), 1.0)
 
 
-class TestOriented:
-    def test_row_axis_is_identity_view(self):
+class TestSegments:
+    def test_row_axis_is_a_view_of_row_runs(self):
         w = np.arange(12.0).reshape(3, 4)
         p = make_partition(3, 4, ROW, 2, "w")
-        assert oriented(w, p) is w
+        segs = segments(w, p)
+        assert segs.shape == (3, 2, 2)
+        assert np.shares_memory(segs, w)
+        # segment (g, b) is row g, columns 2b..2b+2
+        assert segs[1, 1].tolist() == [6.0, 7.0]
+        assert np.array_equal(segs.reshape(3, 4), w)
 
-    def test_column_axis_is_transpose(self):
-        w = np.arange(12.0).reshape(3, 4)
-        p = make_partition(3, 4, COLUMN, 3, "w")
-        assert np.array_equal(oriented(w, p), w.T)
+    def test_column_axis_is_a_view_of_column_runs(self):
+        w = np.arange(12.0).reshape(4, 3)
+        p = make_partition(4, 3, COLUMN, 2, "w")
+        segs = segments(w, p)
+        assert segs.shape == (3, 2, 2)
+        assert np.shares_memory(segs, w)
+        # segment (g, b) is column g, rows 2b..2b+2
+        assert segs[2, 1].tolist() == [8.0, 11.0]
+        assert np.array_equal(segs.reshape(3, 4), w.T)

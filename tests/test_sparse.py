@@ -102,7 +102,8 @@ class TestStorageCost:
     def test_whole_block_cost(self):
         w = np.random.default_rng(76).normal(size=(8, 8))
         _, mask = prune_percentile(w, make_partition(8, 8, ROW, 2, "w"), 0.5)
-        rep = storage_cost(whole_block_cost(mask))
+        rep = whole_block_cost(mask)
+        assert rep.format_name == "whole_block"
         assert rep.value_units == 2 * 16
         assert rep.index_units == 2 * 2
         assert rep.total_units == 36
@@ -123,11 +124,27 @@ class TestSpmm:
         so the product matches the dense kernel exactly."""
         rng = np.random.default_rng(77)
         for axis in (ROW, COLUMN):
-            for s in (0.0, 0.3, 0.5, 0.8):
-                w, mask = masked_matrix(rng, 16, 16, axis, 4, s)
-                b = rng.normal(size=(16, 8))
-                got = spmm(to_block_structured(w, mask), b)
-                assert np.array_equal(got, matmul(w, b))
+            for shape in ((16, 16), (16, 32), (32, 16)):
+                for s in (0.0, 0.3, 0.5, 0.8):
+                    w, mask = masked_matrix(rng, *shape, axis, 4, s)
+                    b = rng.normal(size=(shape[1], 8))
+                    got = spmm(to_block_structured(w, mask), b)
+                    assert got.tobytes() == matmul(w, b).tobytes()
+            # block 1 pruned in every group: the kernel skips it whole
+            p = make_partition(16, 32, axis, 4, "w")
+            mask = mask_from_zeroed(p, [(g, 1) for g in range(p.extent_groups)])
+            w = rng.normal(size=(16, 32)) * mask.bits
+            b = rng.normal(size=(32, 8))
+            got = spmm(to_block_structured(w, mask), b)
+            assert got.tobytes() == matmul(w, b).tobytes()
+
+    def test_unsorted_pairs_rejected(self):
+        rng = np.random.default_rng(84)
+        w, mask = masked_matrix(rng, 16, 16, COLUMN, 4, 0.5)
+        m = to_block_structured(w, mask)
+        backwards = replace(m, retained=m.retained[::-1], values=m.values[::-1])
+        with pytest.raises(ShapeError, match="order"):
+            spmm(backwards, rng.normal(size=(16, 8)))
 
     def test_coo_close_to_dense(self):
         rng = np.random.default_rng(78)
