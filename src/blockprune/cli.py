@@ -14,7 +14,8 @@ import sys
 from .config import Settings, parse_config, resolve_settings
 from .errors import BlockpruneError, ConfigError, MaskError
 from .experiments import save_table, sensitivity_scan, sweep
-from .model import load_checkpoint, make_synthetic_dataset, evaluate
+from .model import (LAYOUT, ArchConfig, ModelParams, evaluate,
+                    load_checkpoint, make_synthetic_dataset)
 from .pruner import load_masks, model_compression_rates, \
     sparsity as mask_sparsity
 from .sparse import storage_cost, to_block_structured, to_coo, whole_block_cost
@@ -212,10 +213,36 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _check_arch(params: ModelParams, arch: ArchConfig, path: str) -> None:
+    """Reject a checkpoint that is not a model of the config's arch."""
+    names = [name for name, *_ in LAYOUT]
+    if params.names() != names:
+        raise ConfigError(
+            f"checkpoint {path} holds tensors {params.names()}, "
+            f"the model has {names}"
+        )
+    for name, _, _, fields, biased in LAYOUT:
+        t = params.tensor(name)
+        for field, size in zip(fields, t.matrix.shape):
+            if size != getattr(arch, field):
+                raise ConfigError(
+                    f"checkpoint {path}: {name} is "
+                    f"{t.matrix.shape[0]}x{t.matrix.shape[1]}, so "
+                    f"model.{field} = {size}, but the config has "
+                    f"model.{field} = {getattr(arch, field)}"
+                )
+        if (t.bias is not None) != biased:
+            raise ConfigError(
+                f"checkpoint {path}: {name} "
+                f"{'has' if t.bias is not None else 'lacks'} a bias"
+            )
+
+
 def cmd_eval(args) -> int:
     settings = _load_settings(args)
     cfg = settings.train
     params = load_checkpoint(args.checkpoint)
+    _check_arch(params, cfg.arch, args.checkpoint)
     eval_seed = derive_seeds(cfg.seed, 3)[2]
     dataset = make_synthetic_dataset(
         eval_seed, cfg.eval_samples, cfg.arch.seq_len, cfg.arch.vocab,
@@ -232,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BlockpruneError as exc:
+    except (BlockpruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,8 +38,8 @@ from .model import LAYOUT, ArchConfig
 from .pruner import PruneEntry, PruneSpec
 from .trainer import TrainConfig
 
-TENSOR_NAMES = tuple(name for name, _, _ in LAYOUT)
-DEFAULT_PRUNABLE = tuple(name for name, _, prunable in LAYOUT if prunable)
+TENSOR_NAMES = tuple(name for name, *_ in LAYOUT)
+DEFAULT_PRUNABLE = tuple(name for name, _, prunable, *_ in LAYOUT if prunable)
 
 _SCHEMA = {
     "model": {

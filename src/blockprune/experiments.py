@@ -1,17 +1,26 @@
 """Scripted studies: one-dimension sweeps and the per-layer sensitivity
 scan, emitted as CSV tables.
 
-A sweep varies exactly one knob across a list of values and runs the
-full pipeline per value. Cells fail independently: an error is recorded
-in the row and the sweep continues. Tables are deterministic for fixed
-config and seed except for the wall-clock column.
+A sweep varies exactly one knob across a list of values and gives one
+pipeline run, a cell, per value. The cells of one sweep or scan share a
+phase cache (`PhaseCache`): cells whose configs agree on a
+phase's key compute that baseline or reweighted phase once, and only
+prune and retrain run per cell. With several workers, a cell that needs
+a phase another cell is computing waits for it. Each cell's result is
+bit-identical to a run of its config alone. A cell's wall clock is its
+own elapsed time, so a cell that finds both phases cached costs only its
+prune and retrain, plus any wait. Cells fail independently: an error is
+recorded in the row and the sweep continues. Tables are deterministic
+for fixed config and seed except for the wall-clock column.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import BlockpruneError, ConfigError
 from .model import build_model
@@ -90,9 +99,37 @@ def apply_value(base: TrainConfig, vary: str, value) -> TrainConfig:
     raise ConfigError(f"unknown sweep vary dimension {vary!r}")
 
 
-def _run_cell(config: TrainConfig, value) -> dict:
+class PhaseCache:
+    """Results of the cached phases by key, shared by the runs of one
+    sweep or scan, from any number of threads.
+
+    The first run to need a key computes it; a run that needs a key
+    another run is computing waits for that result, or that error.
+    Stored parameter stores are never written: runs train on clones.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._results: dict[tuple, Future] = {}
+
+    def get(self, key: tuple, compute):
+        with self._lock:
+            future = self._results.get(key)
+            owner = future is None
+            if owner:
+                future = self._results[key] = Future()
+        if owner:
+            try:
+                future.set_result(compute())
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+        return future.result()
+
+
+def _run_cell(config: TrainConfig, value, cache: PhaseCache) -> dict:
     try:
-        result = run_pipeline(config)
+        result = run_pipeline(config, cache=cache)
         return {
             "value": value,
             "accuracy": result.final_accuracy,
@@ -112,15 +149,17 @@ def _run_cell(config: TrainConfig, value) -> dict:
 
 def _run_cells(configs: list[TrainConfig], values: list,
                workers: int) -> list[dict]:
-    """One row per (config, value) cell, in cell order."""
+    """One row per (config, value) cell, in cell order; the cells share
+    one phase cache."""
+    run = partial(_run_cell, cache=PhaseCache())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_cell, configs, values))
-    return list(map(_run_cell, configs, values))
+            return list(pool.map(run, configs, values))
+    return list(map(run, configs, values))
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
-    """One pipeline run per value, rows sorted by value."""
+    """One cell per value, rows sorted by value."""
     values = sorted(spec.values)
     configs = [apply_value(spec.base, spec.vary, v) for v in values]
     return _run_cells(configs, values, workers)
@@ -130,7 +169,7 @@ def sensitivity_scan(
     config: TrainConfig, ratio: float, include_nonprunable: bool = False,
     workers: int = 1,
 ) -> list[dict]:
-    """Prune one layer at a time at the given ratio, full pipeline each.
+    """Prune one layer at a time at the given ratio, one cell each.
 
     Rows follow model registry order. With include_nonprunable, the
     embedding and classifier get a prunable override for their own row.

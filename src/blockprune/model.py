@@ -34,17 +34,19 @@ FFN = "ffn"
 CLASSIFIER = "classifier"
 ROLES = (EMBEDDING, ATTENTION, FFN, CLASSIFIER)
 
-# tensor name -> (role, prunable by default); attention and ffn weights
-# are fair game, embedding and classifier stay dense unless overridden
+# tensor name, role, prunable by default, the ArchConfig fields giving
+# its (rows, cols), and whether it has a bias (which spans the columns);
+# attention and ffn weights are fair game, embedding and classifier stay
+# dense unless overridden
 LAYOUT = (
-    ("embedding", EMBEDDING, False),
-    ("Wq", ATTENTION, True),
-    ("Wk", ATTENTION, True),
-    ("Wv", ATTENTION, True),
-    ("Wo", ATTENTION, True),
-    ("ffn_in", FFN, True),
-    ("ffn_out", FFN, True),
-    ("classifier", CLASSIFIER, False),
+    ("embedding", EMBEDDING, False, ("vocab", "dim"), False),
+    ("Wq", ATTENTION, True, ("dim", "dim"), False),
+    ("Wk", ATTENTION, True, ("dim", "dim"), False),
+    ("Wv", ATTENTION, True, ("dim", "dim"), False),
+    ("Wo", ATTENTION, True, ("dim", "dim"), False),
+    ("ffn_in", FFN, True, ("dim", "ffn"), True),
+    ("ffn_out", FFN, True, ("ffn", "dim"), True),
+    ("classifier", CLASSIFIER, False, ("dim", "classes"), True),
 )
 
 
@@ -185,28 +187,17 @@ def build_model(config: ArchConfig, rng: np.random.Generator,
                 prunable_overrides: dict[str, bool] | None = None) -> ModelParams:
     """Initialize all tensors from N(0, 1/fan_in); biases start at zero."""
     config.validate()
-    v, d, f, c = config.vocab, config.dim, config.ffn, config.classes
-    shapes = {
-        "embedding": (v, d),
-        "Wq": (d, d),
-        "Wk": (d, d),
-        "Wv": (d, d),
-        "Wo": (d, d),
-        "ffn_in": (d, f),
-        "ffn_out": (f, d),
-        "classifier": (d, c),
-    }
-    bias_len = {"ffn_in": f, "ffn_out": d, "classifier": c}
     overrides = prunable_overrides or {}
+    names = [name for name, *_ in LAYOUT]
     for name in overrides:
-        if name not in shapes:
+        if name not in names:
             raise ShapeError(f"prunable override names unknown tensor {name!r}")
     tensors = []
-    for name, role, prunable in LAYOUT:
-        rows, cols = shapes[name]
-        fan_in = rows if name != "embedding" else d
+    for name, role, prunable, fields, biased in LAYOUT:
+        rows, cols = (getattr(config, f) for f in fields)
+        fan_in = rows if name != "embedding" else config.dim
         matrix = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(rows, cols))
-        bias = np.zeros(bias_len[name]) if name in bias_len else None
+        bias = np.zeros(cols) if biased else None
         tensors.append(
             (
                 name,
@@ -279,9 +270,9 @@ def loss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(params: ModelParams, cache: ForwardCache,
-             labels: np.ndarray) -> ModelParams:
+             labels: np.ndarray, grads: ModelParams) -> ModelParams:
     """Gradients of the mean cross-entropy for every tensor and bias,
-    in a store laid out like `params`."""
+    written over `grads`, a store laid out like `params`, and returned."""
     if cache.params_ref is not params or cache.params_version != params.version:
         raise ShapeError(
             "stale forward cache: parameters changed since the forward pass"
@@ -305,7 +296,6 @@ def backward(params: ModelParams, cache: ForwardCache,
     dlog[np.arange(B), labels] -= 1.0
     dlog /= B
 
-    grads = params.zeros_like()
     g = dict(grads.items())
     g["classifier"].matrix[...] = cache.P.T @ dlog
     g["classifier"].bias[...] = dlog.sum(axis=0)
@@ -332,15 +322,17 @@ def backward(params: ModelParams, cache: ForwardCache,
     g["Wk"].matrix[...] = cache.X.reshape(-1, d).T @ dK.reshape(-1, d)
     g["Wv"].matrix[...] = cache.X.reshape(-1, d).T @ dV.reshape(-1, d)
     dX = dH1 + dQ @ Wq.T + dK @ Wk.T + dV @ Wv.T
+    # the one view accumulated into rather than assigned
+    g["embedding"].matrix[...] = 0.0
     np.add.at(g["embedding"].matrix, toks.reshape(-1), dX.reshape(-1, d))
     return grads
 
 
-def loss_and_gradients(params: ModelParams,
-                       batch: Batch) -> tuple[float, ModelParams]:
+def loss_and_gradients(params: ModelParams, batch: Batch,
+                       grads: ModelParams) -> tuple[float, ModelParams]:
     logits, cache = forward(params, batch)
     value = loss(logits, batch.labels)
-    return value, backward(params, cache, batch.labels)
+    return value, backward(params, cache, batch.labels, grads)
 
 
 def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,

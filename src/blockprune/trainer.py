@@ -15,13 +15,17 @@ lambda is positive, so a step at lambda = 0 is exactly a plain Adam
 step, and the loop zeroes nothing when no masks are given: the test
 suite checks bit for bit that phases two and three then reproduce
 `plain_train`.
+
+`run_pipeline` can take the baseline and reweighted phases from a cache
+keyed by the config fields each phase reads (`phase_keys`), so runs of
+one sweep that share a prefix train it once.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -232,6 +236,7 @@ def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
     lambda_max = hyper.get("lambda_max", 0.0)
     warmup = hyper.get("lambda_warmup_steps", 1)
     state = make_adam(params, hyper["learning_rate"])
+    grads = params.zeros_like()  # overwritten by every step's backward
     for s in range(1, steps + 1):
         if s in milestones:
             gammas = {
@@ -242,7 +247,9 @@ def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
             }
             history.append(dict(gammas))
         lam = lambda_max * min(1.0, s / warmup)
-        pred, grads = loss_and_gradients(params, dataset[(s - 1) % len(dataset)])
+        pred, grads = loss_and_gradients(
+            params, dataset[(s - 1) % len(dataset)], grads
+        )
         pen = 0.0
         if lam > 0.0:
             # guard keeps every lambda = 0 step arithmetically identical
@@ -390,49 +397,95 @@ def _phase(name: str):
         raise exc.__class__(f"{name} phase: {exc}") from exc
 
 
+def phase_keys(config: TrainConfig) -> tuple[tuple, tuple]:
+    """Cache keys of the baseline and the reweighted phase of a run.
+
+    Each phase is a pure function of the config fields in its key. The
+    reweighted key extends the baseline key with the penalty's
+    partitions and schedule; the prune entries' mode and value, and t2,
+    only reach prune and retrain, which are never cached.
+    """
+    baseline = (
+        astuple(config.arch),
+        tuple(sorted(config.prunable_overrides.items())),
+        config.seed, config.train_samples, config.eval_samples,
+        config.batch_size, config.baseline_steps, config.learning_rate,
+        config.eval_every,
+    )
+    reweighted = baseline + (
+        tuple((e.layer_name, e.axis, e.num_blocks)
+              for e in config.prune_spec.entries),
+        config.t1, config.rw_learning_rate, config.lambda_max,
+        config.lambda_warmup_steps, config.milestones,
+    )
+    return baseline, reweighted
+
+
 def run_pipeline(config: TrainConfig, out_dir: str | None = None,
-                 verbose: bool = False) -> PipelineResult:
+                 verbose: bool = False, cache=None) -> PipelineResult:
     """Full run: build, baseline train, reweight, prune, retrain, evaluate.
 
     A fixed seed makes the whole run bit-reproducible. When out_dir is
     given, reports, masks, and checkpoints are written there.
+
+    Runs given one `cache`, whose `get(key, compute)` returns `compute()`
+    computed once per key (`experiments.PhaseCache`), compute each
+    baseline and reweighted phase once (see `phase_keys`). The phase
+    after a cached one trains a clone of its parameters, so a run's
+    result does not depend on the cache. Without a cache, no phase's
+    result is kept and every phase trains the one store the baseline
+    built.
     """
     config.validate()
     started = time.perf_counter()
-    init_seed, train_seed, eval_seed = derive_seeds(config.seed, 3)
-    params = build_model(
-        config.arch, make_rng(init_seed),
-        prunable_overrides=config.prunable_overrides,
-    )
-    train_ds = make_synthetic_dataset(
-        train_seed, config.train_samples, config.arch.seq_len,
-        config.arch.vocab, config.batch_size,
-    )
-    eval_ds = make_synthetic_dataset(
-        eval_seed, config.eval_samples, config.arch.seq_len,
-        config.arch.vocab, config.batch_size,
-    )
+    baseline_key, reweighted_key = phase_keys(config)
+    if cache is None:
+        fetch, own = (lambda key, compute: compute()), (lambda p: p)
+    else:
+        fetch, own = cache.get, ModelParams.clone
 
     def say(msg):
         if verbose:
             print(msg, flush=True)
 
-    say(f"baseline: {config.baseline_steps} steps at lr {config.learning_rate}")
-    with _phase("baseline"):
-        baseline_report = plain_train(
-            params, train_ds, config.baseline_steps, config.learning_rate,
-            batch_size=config.batch_size, eval_dataset=eval_ds,
-            eval_every=config.eval_every,
+    def baseline():
+        init_seed, train_seed, eval_seed = derive_seeds(config.seed, 3)
+        params = build_model(
+            config.arch, make_rng(init_seed),
+            prunable_overrides=config.prunable_overrides,
         )
-        baseline_accuracy = evaluate(params, eval_ds)
+        train_ds = make_synthetic_dataset(
+            train_seed, config.train_samples, config.arch.seq_len,
+            config.arch.vocab, config.batch_size,
+        )
+        eval_ds = make_synthetic_dataset(
+            eval_seed, config.eval_samples, config.arch.seq_len,
+            config.arch.vocab, config.batch_size,
+        )
+        with _phase("baseline"):
+            report = plain_train(
+                params, train_ds, config.baseline_steps, config.learning_rate,
+                batch_size=config.batch_size, eval_dataset=eval_ds,
+                eval_every=config.eval_every,
+            )
+            accuracy = evaluate(params, eval_ds)
+        return params, report, accuracy, train_ds, eval_ds
+
+    say(f"baseline: {config.baseline_steps} steps at lr {config.learning_rate}")
+    (baseline_params, baseline_report, baseline_accuracy, train_ds,
+     eval_ds) = fetch(baseline_key, baseline)
     say(f"baseline accuracy {baseline_accuracy:.4f}")
 
-    say(f"reweighted: {config.t1} steps at lr {config.rw_learning_rate}")
-    with _phase("reweighted"):
-        params, gamma_history, rw_report = reweighted_train(
-            params, train_ds, config, eval_dataset=eval_ds
-        )
+    def reweighted():
+        with _phase("reweighted"):
+            return reweighted_train(
+                own(baseline_params), train_ds, config, eval_dataset=eval_ds,
+            )
 
+    say(f"reweighted: {config.t1} steps at lr {config.rw_learning_rate}")
+    rw_params, gamma_history, rw_report = fetch(reweighted_key, reweighted)
+
+    params = own(rw_params)
     with _phase("prune"):
         masks = prune_model(params, config.prune_spec)
         pruned_accuracy = evaluate(params, eval_ds)

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from blockprune.cli import main as cli_main
+from blockprune.experiments import PhaseCache
 from blockprune.model import (
     ArchConfig,
     ModelParams,
@@ -109,6 +110,7 @@ def _spec(num_blocks: int, target: float) -> PruneSpec:
 
 
 _CELLS: dict[tuple, object] = {}
+_PHASES = PhaseCache()
 
 
 def cell(seed: int = 42, num_blocks: int = 8, target: float = 0.5,
@@ -116,7 +118,9 @@ def cell(seed: int = 42, num_blocks: int = 8, target: float = 0.5,
     """One full pipeline run at the shipped hyperparameters, cached.
 
     The trend checks below revisit the same design point from several
-    sweeps, so runs are keyed by everything that varies.
+    sweeps, so runs are keyed by everything that varies. The runs share
+    one phase cache: cells of one seed train one baseline, and cells of
+    one seed and block count one reweighted phase.
     """
     key = (seed, num_blocks, target, t2)
     if key not in _CELLS:
@@ -127,7 +131,7 @@ def cell(seed: int = 42, num_blocks: int = 8, target: float = 0.5,
             lambda_warmup_steps=200, eval_every=0,
             prune_spec=_spec(num_blocks, target),
         )
-        _CELLS[key] = run_pipeline(cfg)
+        _CELLS[key] = run_pipeline(cfg, cache=_PHASES)
     return _CELLS[key]
 
 
@@ -196,7 +200,8 @@ def test_analytic_gradients_match_central_differences():
             if np.abs(cache.U).min() < 1e-3:
                 # margin to the relu kink must dominate the probe step
                 continue
-            analytic = backward(params, cache, batch.labels)
+            analytic = backward(params, cache, batch.labels,
+                                params.zeros_like())
             assert analytic.flat.shape == params.flat.shape
             for (key, live), (_, want) in zip(_arrays(params),
                                               _arrays(analytic)):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from blockprune.cli import main
-from blockprune.model import ModelParams, WeightTensor, save_checkpoint
+from blockprune.model import (
+    ArchConfig,
+    ModelParams,
+    WeightTensor,
+    build_model,
+    save_checkpoint,
+)
 from blockprune.numerics import ROW
 from blockprune.pruner import prune_percentile, save_masks
 from blockprune.regularizer import make_partition
@@ -152,6 +158,17 @@ class TestBenchCommand:
     def test_too_few_reps_exits_2(self, capsys):
         assert main(["bench", "--reps", "2"]) == 2
 
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["bench", "--sizes", "16", "--sparsities", "0.5",
+                     "--reps", "3", "--num-blocks", "4",
+                     "--out", str(blocker / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestEvalCommand:
     def test_reproduces_pipeline_accuracy(self, cfg_path, tmp_path, capsys):
@@ -170,6 +187,24 @@ class TestEvalCommand:
 
     def test_missing_checkpoint_exits_1(self, capsys):
         assert main(["eval", "--checkpoint", "/no/such/dir"]) == 1
+
+    def test_checkpoint_of_another_arch_exits_2(self, tmp_path, capsys):
+        # a dim-8/ffn-12 model against the default dim-16/ffn-32 config
+        arch = ArchConfig(vocab=8, dim=8, heads=1, ffn=12, classes=8,
+                          seq_len=16)
+        ck = tmp_path / "ck"
+        save_checkpoint(build_model(arch, np.random.default_rng(0)), ck)
+        code = main(["eval", "--checkpoint", str(ck)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ck) in err
+        assert "model.dim" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_of_other_tensors_exits_2(self, tmp_path, capsys):
+        ck, _ = fixture_checkpoint(tmp_path)
+        assert main(["eval", "--checkpoint", ck]) == 2
+        assert ck in capsys.readouterr().err
 
 
 class TestUsage:

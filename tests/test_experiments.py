@@ -1,8 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from blockprune import trainer
 from blockprune.errors import ConfigError
 from blockprune.experiments import (
+    PhaseCache,
     SweepSpec,
     apply_value,
     save_table,
@@ -13,7 +18,7 @@ from blockprune.experiments import (
 from blockprune.model import ArchConfig
 from blockprune.numerics import ROW
 from blockprune.pruner import PruneEntry, PruneSpec
-from blockprune.trainer import TrainConfig
+from blockprune.trainer import TrainConfig, run_pipeline
 
 TINY = ArchConfig(vocab=6, dim=8, heads=1, ffn=12, classes=6, seq_len=5)
 
@@ -101,8 +106,14 @@ class TestSweep:
         rows = sweep(spec)
         by_value = {r["value"]: r for r in rows}
         assert by_value[4]["status"] == "ok"
-        assert by_value[3]["status"].startswith("error:")
+        assert by_value[3]["status"].startswith("error: reweighted phase:")
         assert by_value[3]["accuracy"] == ""
+        # the failed cell shares the baseline with the other, and leaves
+        # that cell's row as it is without it
+        (alone,) = sweep(SweepSpec(name="s", base=tiny_config(),
+                                   vary="num_blocks", values=(4,)))
+        del alone["wall_clock_seconds"], by_value[4]["wall_clock_seconds"]
+        assert by_value[4] == alone
 
     def test_workers_do_not_change_results(self):
         spec = SweepSpec(name="s", base=tiny_config(), vary="seed",
@@ -117,6 +128,96 @@ class TestSweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(name="s", base=tiny_config(), vary="seed", values=())
+
+
+def same_run(a, b):
+    """Two pipeline results agree bit for bit, wall clocks aside."""
+    assert a.params.flat.tobytes() == b.params.flat.tobytes()
+    assert list(a.masks) == list(b.masks)
+    for name, mask in a.masks.items():
+        assert mask.keep.tobytes() == b.masks[name].keep.tobytes()
+    assert list(a.reports) == list(b.reports)
+    for phase, report in a.reports.items():
+        other = b.reports[phase]
+        assert report.steps == other.steps, phase
+        assert report.accuracy_at == other.accuracy_at, phase
+    assert len(a.gamma_history) == len(b.gamma_history)
+    for snap_a, snap_b in zip(a.gamma_history, b.gamma_history):
+        assert list(snap_a) == list(snap_b)
+        for name, gamma in snap_a.items():
+            assert gamma.values.tobytes() == snap_b[name].values.tobytes()
+            assert gamma.update_count == snap_b[name].update_count
+    assert (a.baseline_accuracy, a.pruned_accuracy, a.final_accuracy) == (
+        b.baseline_accuracy, b.pruned_accuracy, b.final_accuracy)
+    assert (a.compression, a.compression_all) == (
+        b.compression, b.compression_all)
+
+
+@pytest.fixture
+def phase_calls(monkeypatch):
+    """Count the cached phases' runs, by wrapping the functions
+    `run_pipeline` calls them through."""
+    calls = {"plain_train": 0, "reweighted_train": 0}
+    lock = threading.Lock()
+    for name in calls:
+        original = getattr(trainer, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            with lock:
+                calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counted)
+    return calls
+
+
+class TestPhaseCache:
+    @pytest.mark.parametrize("vary,values,phases", [
+        # the prune target and t2 reach neither cached phase
+        ("compression_rate", (2.0, 4.0), (1, 1)),
+        ("retrain_epochs", (1, 2), (1, 1)),
+        # the block count sets the penalty's partitions
+        ("num_blocks", (2, 4), (1, 2)),
+    ])
+    def test_cached_cells_equal_uncached_runs(self, vary, values, phases,
+                                              phase_calls):
+        base = tiny_config(eval_every=3)
+        configs = [apply_value(base, vary, v) for v in values]
+        cache = PhaseCache()
+        cached = [run_pipeline(cfg, cache=cache) for cfg in configs]
+        assert (phase_calls["plain_train"],
+                phase_calls["reweighted_train"]) == phases
+        for cfg, got in zip(configs, cached):
+            same_run(got, run_pipeline(cfg))
+
+    def test_each_prefix_computed_once_with_workers(self, phase_calls):
+        spec = SweepSpec(name="s", base=tiny_config(),
+                         vary="compression_rate", values=(1.5, 2.0, 4.0))
+        rows = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: rows.extend(sweep(spec, workers=3)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        assert phase_calls == {"plain_train": 1, "reweighted_train": 1}
+        serial = sweep(spec)
+        for a, b in zip(rows, serial):
+            assert (a["value"], a["accuracy"], a["compression"]) == (
+                b["value"], b["accuracy"], b["compression"])
+
+    def test_scan_shares_baselines_by_override(self, phase_calls):
+        sensitivity_scan(tiny_config(), 0.5, workers=2)
+        assert phase_calls == {"plain_train": 1, "reweighted_train": 6}
+        sensitivity_scan(tiny_config(), 0.5, include_nonprunable=True)
+        # embedding and classifier each train with their own override
+        assert phase_calls == {"plain_train": 1 + 3,
+                               "reweighted_train": 6 + 8}
 
 
 class TestSensitivity:

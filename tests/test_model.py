@@ -130,7 +130,7 @@ class TestBackward:
     def test_matches_finite_differences(self):
         params = tiny_model(seed=3)
         batch = tiny_batch(seed=4, n=4)
-        _, grads = loss_and_gradients(params, batch)
+        _, grads = loss_and_gradients(params, batch, params.zeros_like())
 
         def through(buffer):
             """Loss as a function of one parameter buffer, evaluated by
@@ -154,13 +154,26 @@ class TestBackward:
 
     def test_gradients_share_the_parameter_layout(self):
         params = tiny_model(seed=3)
-        _, grads = loss_and_gradients(params, tiny_batch(seed=4, n=4))
+        _, grads = loss_and_gradients(params, tiny_batch(seed=4, n=4),
+                                      params.zeros_like())
         assert grads.names() == params.names()
         assert grads.flat.shape == params.flat.shape
         for name, t in params.items():
             g = grads.tensor(name)
             assert g.matrix.shape == t.matrix.shape
             assert (g.bias is None) == (t.bias is None)
+
+    def test_reused_store_is_overwritten(self):
+        # a store left holding another batch's gradients, or garbage,
+        # gives the same bytes as a fresh one
+        params = tiny_model(seed=3)
+        batch = tiny_batch(seed=4, n=4)
+        _, fresh = loss_and_gradients(params, batch, params.zeros_like())
+        store = params.zeros_like()
+        store.flat[...] = np.nan
+        _, reused = loss_and_gradients(params, batch, store)
+        assert reused is store
+        assert reused.flat.tobytes() == fresh.flat.tobytes()
 
     def test_stale_cache_rejected(self):
         params = tiny_model()
@@ -170,7 +183,7 @@ class TestBackward:
         _, cache = forward(params, batch)
         params.bump()
         with pytest.raises(ShapeError, match="stale"):
-            backward(params, cache, batch.labels)
+            backward(params, cache, batch.labels, params.zeros_like())
 
 
 class TestDataset:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from blockprune import trainer
 from blockprune.errors import MaskError, NonFiniteError, ShapeError
 from blockprune.model import (
     ArchConfig,
@@ -17,6 +20,7 @@ from blockprune.trainer import (
     adam_step,
     derive_seeds,
     make_adam,
+    phase_keys,
     plain_train,
     retrain,
     reweighted_train,
@@ -279,6 +283,20 @@ class TestPipeline:
         for name, t in a.params.items():
             assert np.array_equal(t.matrix, b.params.tensor(name).matrix)
 
+    def test_uncached_run_trains_one_store(self, monkeypatch):
+        # without a cache no phase's store is kept, so none is cloned
+        seen = []
+        for name in ("plain_train", "reweighted_train", "retrain"):
+            def recorded(params, *args, original=getattr(trainer, name),
+                         **kwargs):
+                seen.append(params)
+                return original(params, *args, **kwargs)
+
+            monkeypatch.setattr(trainer, name, recorded)
+        result = run_pipeline(tiny_config())
+        assert len(seen) == 3
+        assert all(params is result.params for params in seen)
+
     def test_errors_carry_the_phase_name(self):
         # the penalty rejects the non-prunable layer before pruning runs
         cfg = tiny_config(prune_spec=PruneSpec(entries=(
@@ -294,3 +312,57 @@ class TestPipeline:
         params, data = tiny_setup(seed=1)
         with pytest.raises(NonFiniteError):
             plain_train(params, data, steps=10, learning_rate=1e150)
+
+
+# one change per TrainConfig field, and the first phase it reaches: the
+# phase whose cache key, and every later one's, must change with it
+FIELD_CHANGES = [
+    ("arch", dict(arch=dataclasses.replace(TINY, ffn=16)), "baseline"),
+    ("train_samples", dict(train_samples=80), "baseline"),
+    ("eval_samples", dict(eval_samples=48), "baseline"),
+    ("batch_size", dict(batch_size=8), "baseline"),
+    ("seed", dict(seed=6), "baseline"),
+    ("baseline_steps", dict(baseline_steps=9), "baseline"),
+    ("learning_rate", dict(learning_rate=2e-3), "baseline"),
+    ("eval_every", dict(eval_every=2), "baseline"),
+    ("prunable_overrides", dict(prunable_overrides={"embedding": True}),
+     "baseline"),
+    ("reweighted_learning_rate", dict(reweighted_learning_rate=5e-4),
+     "reweighted"),
+    ("t1", dict(t1=13), "reweighted"),
+    ("milestones", dict(milestones=(4,)), "reweighted"),
+    ("lambda_max", dict(lambda_max=2e-3), "reweighted"),
+    ("lambda_warmup_steps", dict(lambda_warmup_steps=5), "reweighted"),
+    ("prune_spec", dict(prune_spec=PruneSpec(entries=(
+        PruneEntry("Wq", ROW, 2, "percentile", 0.5),
+        PruneEntry("ffn_in", ROW, 4, "percentile", 0.5),
+    ))), "reweighted"),
+    ("prune_spec", dict(prune_spec=PruneSpec(entries=(
+        PruneEntry("Wq", ROW, 4, "threshold", 0.1),
+        PruneEntry("ffn_in", ROW, 4, "percentile", 0.8),
+    ))), "cell"),
+    ("t2", dict(t2=11), "cell"),
+]
+
+
+class TestPhaseKeys:
+    def test_every_field_is_classified(self):
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert fields == {name for name, _, _ in FIELD_CHANGES}
+
+    @pytest.mark.parametrize("name,change,phase", FIELD_CHANGES,
+                             ids=[f"{n}-{p}" for n, _, p in FIELD_CHANGES])
+    def test_a_field_changes_its_phase_key_and_later_ones(self, name,
+                                                          change, phase):
+        base = tiny_config()
+        changed = tiny_config(**change)
+        assert getattr(changed, name) != getattr(base, name)
+        old, new = phase_keys(base), phase_keys(changed)
+        first = {"baseline": 0, "reweighted": 1, "cell": 2}[phase]
+        assert [a != b for a, b in zip(old, new)] == [i >= first
+                                                      for i in range(2)]
+
+    def test_effective_rw_learning_rate_is_the_key(self):
+        # an explicit reweighted rate equal to the fallback runs the same
+        assert phase_keys(tiny_config()) == phase_keys(
+            tiny_config(reweighted_learning_rate=1e-3))
