@@ -14,11 +14,12 @@ import sys
 from .config import Settings, parse_config, resolve_settings
 from .errors import BlockpruneError, ConfigError, MaskError
 from .experiments import save_table, sensitivity_scan, sweep
-from .model import (LAYOUT, ArchConfig, ModelParams, evaluate,
+from .model import (LAYOUT, TENSOR_NAMES, ArchConfig, ModelParams, evaluate,
                     load_checkpoint, make_synthetic_dataset)
 from .pruner import load_masks, model_compression_rates, \
     sparsity as mask_sparsity
-from .sparse import storage_cost, to_block_structured, to_coo, whole_block_cost
+from .sparse import (bench_spmm, storage_cost, to_block_structured, to_coo,
+                     whole_block_cost)
 from .trainer import derive_seeds, run_pipeline
 
 
@@ -196,8 +197,6 @@ def cmd_bench(args) -> int:
         ) from None
     if not sizes or not sparsities:
         raise ConfigError("need at least one size and one sparsity")
-    from .sparse import bench_spmm
-
     seed = args.seed if args.seed is not None else 0
     rows = bench_spmm(sizes, sparsities, args.reps,
                       num_blocks=args.num_blocks, seed=seed)
@@ -215,7 +214,7 @@ def cmd_bench(args) -> int:
 
 def _check_arch(params: ModelParams, arch: ArchConfig, path: str) -> None:
     """Reject a checkpoint that is not a model of the config's arch."""
-    names = [name for name, *_ in LAYOUT]
+    names = list(TENSOR_NAMES)
     if params.names() != names:
         raise ConfigError(
             f"checkpoint {path} holds tensors {params.names()}, "

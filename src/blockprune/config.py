@@ -4,10 +4,17 @@ Format: `[section]` headers and `key = value` lines. Full-line comments
 start with `#`. Unknown sections, unknown keys, and duplicates are
 rejected with the line number; a config that parses is fully validated.
 
+Each setting is declared once. Types live in `_SCHEMA` and fields in
+the dataclasses: the [model] keys other than prunable are the
+`ArchConfig` fields, and the [dataset] and [train] keys other than
+milestones and milestone_every are the `TrainConfig` fields of the same
+name, whose defaults are the dataclass defaults. The resolver builds
+both dataclasses from the schema.
+
 Precedence is command-line flag over config file over built-in default.
-Every key has a documented default (DEFAULTS below), so an empty or
-absent config still resolves. The resolver also returns, per key, where
-its value came from, which the CLI prints in verbose mode.
+Every key has a default, so an empty or absent config still resolves.
+The resolver also returns, per key, where its value came from, which the
+CLI prints in verbose mode.
 
 Sections:
   [model]        vocab, dim, heads, ffn, classes, seq_len, prunable
@@ -28,18 +35,14 @@ refreshes every four epochs.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .experiments import SweepSpec
-from .model import LAYOUT, ArchConfig
+from .experiments import VARY, SweepSpec, steps_per_epoch
+from .model import LAYOUT, TENSOR_NAMES, ArchConfig
 from .pruner import PruneEntry, PruneSpec
 from .trainer import TrainConfig
-
-TENSOR_NAMES = tuple(name for name, *_ in LAYOUT)
-DEFAULT_PRUNABLE = tuple(name for name, _, prunable, *_ in LAYOUT if prunable)
 
 _SCHEMA = {
     "model": {
@@ -66,19 +69,22 @@ _SCHEMA = {
     "sensitivity": {"ratio": float, "include_nonprunable": bool},
 }
 
+# the [train] keys that resolve to TrainConfig.milestones
+_MILESTONE_KEYS = ("milestone_every", "milestones")
+
 # model, dataset and train defaults are the dataclass field defaults;
 # the keys below them have no dataclass field of their own
 _FIELD_DEFAULTS = TrainConfig()
 DEFAULTS = {
     **{f"model.{f.name}": getattr(_FIELD_DEFAULTS.arch, f.name)
        for f in fields(ArchConfig)},
-    "model.prunable": ",".join(DEFAULT_PRUNABLE),
+    "model.prunable": [name for name, _, prunable, *_ in LAYOUT if prunable],
     **{f"{section}.{key}": getattr(_FIELD_DEFAULTS, key)
        for section in ("dataset", "train") for key in _SCHEMA[section]
-       if key not in ("milestone_every", "milestones")},
+       if key not in _MILESTONE_KEYS},
     "train.milestone_every": None,  # None: every 4 epochs
     "train.milestones": None,
-    "prune.layers": "all",
+    "prune.layers": ["all"],
     "prune.axis": "row",
     "prune.num_blocks": 8,
     "prune.mode": "percentile",
@@ -86,15 +92,6 @@ DEFAULTS = {
     "prune.threshold": None,
     "sensitivity.ratio": 0.5,
     "sensitivity.include_nonprunable": False,
-}
-
-_SWEEP_VALUE_TYPE = {
-    "num_blocks": int,
-    "retrain_epochs": int,
-    "lambda_max": float,
-    "seed": int,
-    "compression_rate": float,
-    "layer": str,
 }
 
 
@@ -164,7 +161,8 @@ def parse_config(path: str) -> RawConfig:
     return raw
 
 
-def _convert(raw: RawConfig, section: str, key: str, kind):
+def _convert(raw: RawConfig, section: str, key: str):
+    kind = _schema_for(section)[key]
     value, lineno = raw.sections[section][key]
     where = f"{raw.path}:{lineno}"
     try:
@@ -209,28 +207,28 @@ def resolve_settings(
     flags = flag_overrides or {}
     sources: dict[str, str] = {}
 
-    def get(section: str, key: str, kind):
+    def get(section: str, key: str):
         dotted = f"{section}.{key}"
         if dotted in flags and flags[dotted] is not None:
             sources[dotted] = "flag"
             return flags[dotted]
-        if raw is not None and section in raw.sections and key in raw.sections[section]:
+        if raw is not None and key in raw.sections.get(section, {}):
             sources[dotted] = "config"
-            return _convert(raw, section, key, kind)
+            return _convert(raw, section, key)
         sources[dotted] = "default"
         return DEFAULTS[dotted]
 
-    arch = ArchConfig(
-        vocab=get("model", "vocab", int),
-        dim=get("model", "dim", int),
-        heads=get("model", "heads", int),
-        ffn=get("model", "ffn", int),
-        classes=get("model", "classes", int),
-        seq_len=get("model", "seq_len", int),
-    )
-    prunable_value = get("model", "prunable", "strlist")
-    if isinstance(prunable_value, str):
-        prunable_value = [v.strip() for v in prunable_value.split(",") if v.strip()]
+    def checked(config: TrainConfig) -> TrainConfig:
+        try:
+            config.validate()
+        except Exception as exc:
+            raise ConfigError(
+                f"{raw.path if raw else '<defaults>'}: {exc}"
+            ) from exc
+        return config
+
+    arch = ArchConfig(**{f.name: get("model", f.name) for f in fields(ArchConfig)})
+    prunable_value = get("model", "prunable")
     for name in prunable_value:
         if name not in TENSOR_NAMES:
             raise ConfigError(
@@ -240,11 +238,10 @@ def resolve_settings(
         name: (name in prunable_value) for name in TENSOR_NAMES
     }
     prunable_set = tuple(n for n in TENSOR_NAMES if prunable_overrides[n])
-
-    train_samples = get("dataset", "train_samples", int)
-    eval_samples = get("dataset", "eval_samples", int)
-    batch_size = get("train", "batch_size", int)
-    t1 = get("train", "t1", int)
+    scalars = {
+        key: get(section, key) for section in ("dataset", "train")
+        for key in _SCHEMA[section] if key not in _MILESTONE_KEYS
+    }
 
     milestones_value = None
     if raw is not None and "train" in raw.sections:
@@ -256,57 +253,36 @@ def resolve_settings(
                 f"not both"
             )
         if has_list:
-            milestones_value = tuple(_convert(raw, "train", "milestones", "intlist"))
+            milestones_value = tuple(_convert(raw, "train", "milestones"))
             sources["train.milestones"] = "config"
         elif has_every:
-            every = _convert(raw, "train", "milestone_every", int)
+            every = _convert(raw, "train", "milestone_every")
             if every < 1:
                 raise ConfigError(
                     f"{_loc(raw, 'train')}: milestone_every must be >= 1"
                 )
-            milestones_value = tuple(range(every, t1, every))
+            milestones_value = tuple(range(every, scalars["t1"], every))
             sources["train.milestones"] = "config"
+    # the scalar fields are checked before the default milestones are
+    # derived from batch_size and train_samples
+    config = checked(TrainConfig(arch=arch, **scalars))
     if milestones_value is None:
         # default: refresh gamma every four epochs of reweighted steps
-        every = 4 * math.ceil(train_samples / batch_size)
-        milestones_value = tuple(range(every, t1, every))
+        every = 4 * steps_per_epoch(config)
+        milestones_value = tuple(range(every, config.t1, every))
         sources["train.milestones"] = "default"
 
-    prune_spec = _resolve_prune(raw, prunable_set, get)
-
-    config = TrainConfig(
-        arch=arch,
-        train_samples=train_samples,
-        eval_samples=eval_samples,
-        batch_size=batch_size,
-        seed=get("train", "seed", int),
-        baseline_steps=get("train", "baseline_steps", int),
-        learning_rate=get("train", "learning_rate", float),
-        reweighted_learning_rate=get("train", "reweighted_learning_rate", float),
-        t1=t1,
-        t2=get("train", "t2", int),
-        milestones=milestones_value,
-        lambda_max=get("train", "lambda_max", float),
-        lambda_warmup_steps=get("train", "lambda_warmup_steps", int),
-        eval_every=get("train", "eval_every", int),
-        prune_spec=prune_spec,
+    config = checked(replace(
+        config, milestones=milestones_value,
+        prune_spec=_resolve_prune(raw, prunable_set, get),
         prunable_overrides=prunable_overrides,
-    )
-    try:
-        config.validate()
-    except Exception as exc:
-        raise ConfigError(f"{raw.path if raw else '<defaults>'}: {exc}") from exc
-
-    sweeps = _resolve_sweeps(raw, config)
-    settings = Settings(
+    ))
+    return Settings(
         train=config,
-        sweeps=sweeps,
-        sensitivity_ratio=get("sensitivity", "ratio", float),
-        sensitivity_include_nonprunable=get(
-            "sensitivity", "include_nonprunable", bool
-        ),
-    )
-    return settings, sources
+        sweeps=_resolve_sweeps(raw, config),
+        sensitivity_ratio=get("sensitivity", "ratio"),
+        sensitivity_include_nonprunable=get("sensitivity", "include_nonprunable"),
+    ), sources
 
 
 def _loc(raw: RawConfig | None, section: str) -> str:
@@ -317,20 +293,9 @@ def _loc(raw: RawConfig | None, section: str) -> str:
 
 
 def _resolve_prune(raw, prunable_set, get) -> PruneSpec:
-    layers_value = get("prune", "layers", "strlist")
-    if isinstance(layers_value, str):
-        layers_value = [v.strip() for v in layers_value.split(",") if v.strip()]
-    if layers_value == ["all"]:
-        layers = list(prunable_set)
-    else:
-        layers = layers_value
-    base = {
-        "axis": get("prune", "axis", str),
-        "num_blocks": get("prune", "num_blocks", int),
-        "mode": get("prune", "mode", str),
-        "sparsity": get("prune", "sparsity", float),
-        "threshold": get("prune", "threshold", float),
-    }
+    layers = get("prune", "layers")
+    layers = list(prunable_set if layers == ["all"] else layers)
+    base = {key: get("prune", key) for key in _SCHEMA["prune.*"]}
     per_layer: dict[str, dict] = {}
     if raw is not None:
         for section in raw.sections:
@@ -342,11 +307,9 @@ def _resolve_prune(raw, prunable_set, get) -> PruneSpec:
                     f"{_loc(raw, section)}: [prune.{name}] names unknown "
                     f"tensor {name!r}"
                 )
-            overrides = {
-                key: _convert(raw, section, key, _SCHEMA["prune.*"][key])
-                for key in raw.sections[section]
+            per_layer[name] = {
+                key: _convert(raw, section, key) for key in raw.sections[section]
             }
-            per_layer[name] = overrides
             if name not in layers:
                 layers.append(name)
     entries = []
@@ -402,13 +365,13 @@ def _resolve_sweeps(raw: RawConfig | None, base: TrainConfig) -> dict[str, Sweep
             raise ConfigError(
                 f"{_loc(raw, section)}: sweep needs both vary and values"
             )
-        vary = _convert(raw, section, "vary", str)
-        if vary not in _SWEEP_VALUE_TYPE:
+        vary = _convert(raw, section, "vary")
+        if vary not in VARY:
             raise ConfigError(
                 f"{_loc(raw, section)}: unknown sweep dimension {vary!r}"
             )
-        raw_values = _convert(raw, section, "values", "strlist")
-        kind = _SWEEP_VALUE_TYPE[vary]
+        raw_values = _convert(raw, section, "values")
+        kind = VARY[vary]
         try:
             values = tuple(kind(v) for v in raw_values)
         except ValueError:

@@ -28,14 +28,15 @@ from .numerics import make_rng
 from .pruner import PruneEntry, PruneSpec
 from .trainer import TrainConfig, run_pipeline
 
-VARY_DIMS = (
-    "num_blocks",
-    "retrain_epochs",
-    "lambda_max",
-    "seed",
-    "compression_rate",
-    "layer",
-)
+# sweep dimension -> type of its values
+VARY = {
+    "num_blocks": int,
+    "retrain_epochs": int,
+    "lambda_max": float,
+    "seed": int,
+    "compression_rate": float,
+    "layer": str,
+}
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ class SweepSpec:
     values: tuple
 
     def __post_init__(self):
-        if self.vary not in VARY_DIMS:
+        if self.vary not in VARY:
             raise ConfigError(
-                f"sweep vary dimension must be one of {VARY_DIMS}, "
+                f"sweep vary dimension must be one of {tuple(VARY)}, "
                 f"got {self.vary!r}"
             )
         if not self.values:

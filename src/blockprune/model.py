@@ -22,7 +22,7 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,7 @@ LAYOUT = (
     ("ffn_out", FFN, True, ("ffn", "dim"), True),
     ("classifier", CLASSIFIER, False, ("dim", "classes"), True),
 )
+TENSOR_NAMES = tuple(name for name, *_ in LAYOUT)
 
 
 @dataclass
@@ -90,9 +91,6 @@ class ModelParams:
     `bias` are reshaped views into it, so a write to either is a write
     to `flat` and the reverse. The constructor copies its inputs into a
     fresh buffer.
-
-    `version` increments on every mutation (optimizer steps, pruning)
-    so cached activations can detect that they are stale.
     """
 
     def __init__(self, tensors: list[tuple[str, WeightTensor]]):
@@ -116,7 +114,6 @@ class ModelParams:
                                prunable=t.prunable, bias=take(t.bias))
             for name, t in tensors
         }
-        self.version = 0
 
     def names(self) -> list[str]:
         return list(self._tensors)
@@ -128,9 +125,6 @@ class ModelParams:
 
     def items(self):
         return self._tensors.items()
-
-    def bump(self) -> None:
-        self.version += 1
 
     def clone(self) -> "ModelParams":
         return ModelParams(list(self.items()))
@@ -179,8 +173,6 @@ class ForwardCache:
     R: np.ndarray
     P: np.ndarray
     logits: np.ndarray
-    params_ref: ModelParams = field(repr=False)
-    params_version: int = 0
 
 
 def build_model(config: ArchConfig, rng: np.random.Generator,
@@ -188,9 +180,8 @@ def build_model(config: ArchConfig, rng: np.random.Generator,
     """Initialize all tensors from N(0, 1/fan_in); biases start at zero."""
     config.validate()
     overrides = prunable_overrides or {}
-    names = [name for name, *_ in LAYOUT]
     for name in overrides:
-        if name not in names:
+        if name not in TENSOR_NAMES:
             raise ShapeError(f"prunable override names unknown tensor {name!r}")
     tensors = []
     for name, role, prunable, fields, biased in LAYOUT:
@@ -251,7 +242,6 @@ def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, ForwardCache
     cache = ForwardCache(
         token_ids=toks, X=X, Q=Q, K=K, V=V, A=A, att=att,
         H1=H1, U=U, R=R, P=P, logits=logits,
-        params_ref=params, params_version=params.version,
     )
     return logits, cache
 
@@ -273,10 +263,6 @@ def backward(params: ModelParams, cache: ForwardCache,
              labels: np.ndarray, grads: ModelParams) -> ModelParams:
     """Gradients of the mean cross-entropy for every tensor and bias,
     written over `grads`, a store laid out like `params`, and returned."""
-    if cache.params_ref is not params or cache.params_version != params.version:
-        raise ShapeError(
-            "stale forward cache: parameters changed since the forward pass"
-        )
     labels = np.asarray(labels, dtype=np.int64)
     toks = cache.token_ids
     B, S = toks.shape

@@ -180,7 +180,6 @@ def prune_model(params, spec: PruneSpec) -> dict[str, PruneMask]:
             pruned, mask = prune_percentile(tensor.matrix, part, entry.value)
         tensor.matrix[...] = pruned
         masks[name] = mask
-    params.bump()
     return masks
 
 

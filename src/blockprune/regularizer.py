@@ -49,7 +49,6 @@ class BlockPartition:
 @dataclass(frozen=True)
 class GammaWeights:
     values: np.ndarray  # (groups, blocks), strictly positive
-    epsilon: float
     update_count: int = 1
 
 
@@ -97,18 +96,12 @@ def group_norms(w: np.ndarray, part: BlockPartition) -> np.ndarray:
     return np.sqrt((segs * segs).sum(axis=2))
 
 
-def gamma_update(
-    w: np.ndarray,
-    part: BlockPartition,
-    epsilon: float = EPSILON_GAMMA,
-    prev: GammaWeights | None = None,
-) -> GammaWeights:
-    """gamma = 1 / (segment norm + epsilon), computed from current w."""
-    if not epsilon > 0:
-        raise ShapeError(f"epsilon must be positive, got {epsilon}")
-    values = 1.0 / (group_norms(w, part) + epsilon)
+def gamma_update(w: np.ndarray, part: BlockPartition,
+                 prev: GammaWeights | None = None) -> GammaWeights:
+    """gamma = 1 / (segment norm + EPSILON_GAMMA), computed from current w."""
+    values = 1.0 / (group_norms(w, part) + EPSILON_GAMMA)
     count = 1 if prev is None else prev.update_count + 1
-    return GammaWeights(values=values, epsilon=epsilon, update_count=count)
+    return GammaWeights(values=values, update_count=count)
 
 
 def _check_gamma(part: BlockPartition, gamma: GammaWeights, lam: float) -> None:
@@ -130,19 +123,15 @@ def penalty(
 
 
 def penalty_grad(
-    w: np.ndarray,
-    part: BlockPartition,
-    gamma: GammaWeights,
-    lam: float,
-    eps_grad: float = EPSILON_GRAD,
+    w: np.ndarray, part: BlockPartition, gamma: GammaWeights, lam: float
 ) -> np.ndarray:
     """d penalty / d w with gamma held constant.
 
-    Entry (i, j) is lam * gamma[seg] * w[i, j] / (norm[seg] + eps_grad);
+    Entry (i, j) is lam * gamma[seg] * w[i, j] / (norm[seg] + EPSILON_GRAD);
     all-zero segments get an exactly zero gradient.
     """
     _check_gamma(part, gamma, lam)
-    coef = lam * gamma.values / (group_norms(w, part) + eps_grad)
+    coef = lam * gamma.values / (group_norms(w, part) + EPSILON_GRAD)
     out = np.empty(part.matrix_shape)
     np.multiply(segments(w, part), coef[:, :, None], out=segments(out, part))
     return out

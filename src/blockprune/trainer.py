@@ -23,6 +23,7 @@ one sweep that share a prefix train it once.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
@@ -38,6 +39,7 @@ from .model import (
     evaluate,
     loss_and_gradients,
     make_synthetic_dataset,
+    save_checkpoint,
 )
 from .numerics import make_rng
 from .pruner import (
@@ -45,6 +47,7 @@ from .pruner import (
     PruneSpec,
     model_compression_rates,
     prune_model,
+    save_masks,
 )
 from .regularizer import (
     BlockPartition,
@@ -67,9 +70,6 @@ class AdamState:
     learning_rate: float
     m: np.ndarray
     v: np.ndarray
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     step: int = 0
 
 
@@ -94,12 +94,11 @@ def adam_step(params: ModelParams, grads: ModelParams,
     state.step += 1
     t = state.step
     g, m, v = grads.flat, state.m, state.v
-    m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-    v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    params.flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    params.bump()
+    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    params.flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -163,9 +162,10 @@ class RunReport:
     accuracy_at: list[tuple[int, float]] = field(default_factory=list)
     compression: float | None = None
     wall_clock: float = 0.0
-    # retraining only, one entry per step
+    # retraining only: max |value| over masked entries, one entry per
+    # step, and the masked tensors' sparsity, which the fixed mask holds
     masked_abs_max: list[float] = field(default_factory=list)
-    masked_sparsity: list[float] = field(default_factory=list)
+    masked_sparsity: float | None = None
 
 
 def save_report(report: RunReport, path: str, meta: dict | None = None) -> None:
@@ -333,8 +333,8 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
 
     Gradients are computed on the full matrices; zeroing after the step
     is what discards pruned updates, so masked entries are exactly zero
-    at every step boundary. The report records, per step,
-    the max |value| over masked entries and the realized sparsity of the
+    at every step boundary. The report records, per step, the max
+    |value| over masked entries, and once the realized sparsity of the
     masked tensors.
     """
     config.validate()
@@ -361,11 +361,8 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
          "batch_size": config.batch_size},
         eval_dataset, config.eval_every, zero_idx=zero_idx,
     )
-    # the mask is fixed, so the realized sparsity is the same every step
     all_total = sum(mask.bits.size for mask in masks.values())
-    report.masked_sparsity = (
-        [zero_idx.size / all_total if all_total else 0.0] * config.t2
-    )
+    report.masked_sparsity = zero_idx.size / all_total if all_total else 0.0
     return params, report
 
 
@@ -528,11 +525,6 @@ def run_pipeline(config: TrainConfig, out_dir: str | None = None,
 
 
 def _emit(result: PipelineResult, config: TrainConfig, out_dir: str) -> None:
-    import os
-
-    from .model import save_checkpoint
-    from .pruner import save_masks
-
     os.makedirs(out_dir, exist_ok=True)
     meta = {"seed": config.seed}
     for phase, report in result.reports.items():

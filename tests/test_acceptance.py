@@ -68,7 +68,7 @@ from blockprune.sparse import (
 )
 from blockprune.trainer import (
     TrainConfig,
-    derive_seeds,
+    phase_keys,
     plain_train,
     retrain,
     reweighted_train,
@@ -365,13 +365,15 @@ def test_penalty_concentrates_small_group_norms():
             milestones=tuple(range(100, 8000, 100)), lambda_max=1e-4,
             lambda_warmup_steps=200, eval_every=0, prune_spec=_spec(8, 0.5),
         )
-        init_seed, train_seed, _ = derive_seeds(cfg.seed, 3)
-        params = build_model(cfg.arch, make_rng(init_seed))
-        ds = make_synthetic_dataset(
-            train_seed, cfg.train_samples, cfg.arch.seq_len, cfg.arch.vocab,
-            cfg.batch_size,
-        )
-        plain_train(params, ds, cfg.baseline_steps, cfg.learning_rate)
+        def uncached():
+            raise AssertionError("cfg keys phases the cell did not run")
+
+        # cfg keys the same baseline and reweighted phases as this cell,
+        # whose run leaves both in the shared phase cache
+        cell(seed=42, num_blocks=8)
+        baseline_key, reweighted_key = phase_keys(cfg)
+        params, _, _, ds, _ = _PHASES.get(baseline_key, uncached)
+        penalized = _PHASES.get(reweighted_key, uncached)[0]
 
         parts = {
             name: make_partition(*params.tensor(name).matrix.shape, ROW, 8)
@@ -389,8 +391,6 @@ def test_penalty_concentrates_small_group_norms():
         bottom = np.argsort(start, kind="stable")[:cut]
         before = float(start[bottom].mean())
 
-        penalized = params.clone()
-        reweighted_train(penalized, ds, cfg)
         after_penalty = float(norms_of(penalized)[bottom].mean())
 
         control = params.clone()

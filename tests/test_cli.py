@@ -96,6 +96,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "bad.cfg:2" in err
 
+    @pytest.mark.parametrize("text", [
+        "[train]\nbatch_size = 0\n", "[dataset]\ntrain_samples = 0\n",
+    ], ids=["batch_size", "train_samples"])
+    def test_zero_batch_or_sample_count_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: ")
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_writes_named_csv(self, cfg_path, tmp_path, capsys):

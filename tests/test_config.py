@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
-from blockprune.config import parse_config, resolve_settings
+from blockprune.config import _SCHEMA, parse_config, resolve_settings
 from blockprune.errors import ConfigError
+from blockprune.model import ArchConfig
+from blockprune.trainer import TrainConfig
 
 
 def write(tmp_path, text, name="c.cfg"):
@@ -72,6 +76,16 @@ class TestResolve:
         settings, sources = resolve_settings(raw, {})
         assert settings.train.seed == 9
         assert sources["train.seed"] == "config"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nbatch_size = 0\n", "batch_size must be positive"),
+        ("[dataset]\ntrain_samples = 0\n", "sample counts must be positive"),
+    ], ids=["batch_size", "train_samples"])
+    def test_zero_batch_or_sample_count_rejected(self, tmp_path, text, message):
+        # the default milestones divide by these, so they are checked first
+        raw = parse_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match=rf"c\.cfg: {message}"):
+            resolve_settings(raw, {})
 
     def test_bad_value_type_has_line_number(self, tmp_path):
         raw_text = "[train]\nseed = banana\n"
@@ -182,3 +196,14 @@ seq_len = 12
         arch = settings.train.arch
         assert (arch.vocab, arch.dim, arch.ffn) == (10, 24, 48)
         assert (arch.classes, arch.seq_len) == (10, 12)
+
+
+def test_schema_keys_are_the_dataclass_fields():
+    # the resolver builds ArchConfig and TrainConfig from these keys, so
+    # a field without its key, or a key without its field, fails here
+    assert {f.name for f in fields(ArchConfig)} <= set(_SCHEMA["model"])
+    train_fields = {f.name for f in fields(TrainConfig)}
+    for section in ("dataset", "train"):
+        for key in _SCHEMA[section]:
+            if key not in ("milestones", "milestone_every"):
+                assert key in train_fields, f"[{section}] {key}"

@@ -175,16 +175,6 @@ class TestBackward:
         assert reused is store
         assert reused.flat.tobytes() == fresh.flat.tobytes()
 
-    def test_stale_cache_rejected(self):
-        params = tiny_model()
-        batch = tiny_batch()
-        from blockprune.model import backward
-
-        _, cache = forward(params, batch)
-        params.bump()
-        with pytest.raises(ShapeError, match="stale"):
-            backward(params, cache, batch.labels, params.zeros_like())
-
 
 class TestDataset:
     def test_label_is_modal_token(self):

@@ -177,14 +177,6 @@ class TestPruneModel:
         with pytest.raises(ShapeError):
             prune_model(params, spec)
 
-    def test_bumps_the_version(self):
-        params = self.make_params()
-        before = params.version
-        prune_model(params, PruneSpec(entries=(
-            PruneEntry("Wv", ROW, 8, "percentile", 0.5),
-        )))
-        assert params.version > before
-
     def test_model_compression_counts_prunable_elements(self):
         params = self.make_params()
         spec = PruneSpec(entries=(

@@ -113,14 +113,6 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(params, small.zeros_like(), state)
 
-    def test_step_bumps_version(self):
-        params, _ = tiny_setup()
-        state = make_adam(params, 1e-3)
-        grads = params.zeros_like()
-        before = params.version
-        adam_step(params, grads, state)
-        assert params.version > before
-
 
 class TestDeriveSeeds:
     def test_deterministic_and_distinct(self):
