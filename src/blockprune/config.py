@@ -379,5 +379,7 @@ def _resolve_sweeps(raw: RawConfig | None, base: TrainConfig) -> dict[str, Sweep
                 f"{_loc(raw, section)}: values for {vary} must be "
                 f"{kind.__name__}"
             ) from None
+        if not values:
+            raise ConfigError(f"{_loc(raw, section)}: sweep {name!r} has no values")
         sweeps[name] = SweepSpec(name=name, base=base, vary=vary, values=values)
     return sweeps

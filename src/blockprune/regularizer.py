@@ -10,7 +10,9 @@ on the column axis, and everything downstream indexes segment (g, b).
 
 Gamma coefficients are recomputed from current weights only at training
 milestones and are treated as constants in between; the penalty gradient
-never differentiates through them.
+never differentiates through them. A training step calls `penalty` once
+per layer with the layer's gradient matrix: one pass computes the segment
+norms, returns the penalty and adds its gradient in place.
 """
 
 from __future__ import annotations
@@ -115,17 +117,30 @@ def _check_gamma(part: BlockPartition, gamma: GammaWeights, lam: float) -> None:
 
 
 def penalty(
-    w: np.ndarray, part: BlockPartition, gamma: GammaWeights, lam: float
+    w: np.ndarray, part: BlockPartition, gamma: GammaWeights, lam: float,
+    grad: np.ndarray | None = None,
 ) -> float:
-    """lam * sum over segments of gamma * segment norm."""
+    """lam * sum over segments of gamma * segment norm.
+
+    With `grad`, a float64 matrix shaped like w, also adds `penalty_grad`
+    into it in place from the same segment norms, so a training step
+    computes them once per layer; the sums are the bits of
+    `grad += penalty_grad(w, part, gamma, lam)`.
+    """
     _check_gamma(part, gamma, lam)
-    return float(lam * np.sum(gamma.values * group_norms(w, part)))
+    norms = group_norms(w, part)
+    if grad is not None:
+        coef = lam * gamma.values / (norms + EPSILON_GRAD)
+        segs = segments(grad, part)
+        segs += segments(w, part) * coef[:, :, None]
+    return float(lam * np.sum(gamma.values * norms))
 
 
 def penalty_grad(
     w: np.ndarray, part: BlockPartition, gamma: GammaWeights, lam: float
 ) -> np.ndarray:
-    """d penalty / d w with gamma held constant.
+    """d penalty / d w with gamma held constant; the definition that
+    `penalty(..., grad=...)` adds in place.
 
     Entry (i, j) is lam * gamma[seg] * w[i, j] / (norm[seg] + EPSILON_GRAD);
     all-zero segments get an exactly zero gradient.

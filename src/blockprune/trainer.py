@@ -9,6 +9,10 @@ steps. After hard pruning, phase three (`retrain`) trains on the
 prediction loss again and forces pruned entries back to +0.0 after
 every optimizer step.
 
+Each penalised step makes one `regularizer.penalty` call per layer,
+which computes the layer's segment norms once, returns the penalty and
+adds its gradient into the layer's gradient in place.
+
 Batches are cycled in dataset order, never reshuffled, so a run is a
 pure function of (config, seed). The penalty is only computed while
 lambda is positive, so a step at lambda = 0 is exactly a plain Adam
@@ -55,7 +59,6 @@ from .regularizer import (
     gamma_update,
     make_partition,
     penalty,
-    penalty_grad,
 )
 
 ADAM_BETA1 = 0.9
@@ -94,11 +97,15 @@ def adam_step(params: ModelParams, grads: ModelParams,
     state.step += 1
     t = state.step
     g, m, v = grads.flat, state.m, state.v
-    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    params.flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # in place, with the operations of m = b1*m + (1-b1)*g and so on in
+    # the same order, so the bits match the out-of-place expressions
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    denom = np.sqrt(v / (1.0 - ADAM_BETA2**t))
+    denom += ADAM_EPS
+    params.flat -= state.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / denom
 
 
 @dataclass
@@ -194,11 +201,12 @@ def _check_finite(value: float, params: ModelParams, step: int) -> None:
     if np.isfinite(value):
         return
     for name, t in params.items():
-        if not np.isfinite(t.matrix).all():
-            raise NonFiniteError(
-                f"non-finite loss at step {step}; tensor {name!r} has "
-                f"non-finite entries"
-            )
+        for part, values in (("matrix", t.matrix), ("bias", t.bias)):
+            if values is not None and not np.isfinite(values).all():
+                raise NonFiniteError(
+                    f"non-finite loss at step {step}; tensor {name!r} "
+                    f"{part} has non-finite entries"
+                )
     raise NonFiniteError(f"non-finite loss at step {step}")
 
 
@@ -213,9 +221,10 @@ def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
     `hyper` goes into the report and sets the run: learning_rate,
     batch_size (None: the dataset's) and, for the penalised phase,
     lambda_max and lambda_warmup_steps (else lambda is 0). Each step
-    refreshes gamma at a milestone, adds the penalty over `parts` once
-    lambda is positive, takes one Adam step, zeroes the flat positions
-    `zero_idx`, and evaluates every `eval_every` steps and at the last.
+    refreshes gamma at a milestone, adds the penalty and its gradient
+    over `parts` (one `penalty` call per layer) once lambda is positive,
+    takes one Adam step, zeroes the flat positions `zero_idx`, and
+    evaluates every `eval_every` steps and at the last.
     """
     if not dataset:
         raise ShapeError("dataset is empty")
@@ -255,11 +264,8 @@ def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
             # guard keeps every lambda = 0 step arithmetically identical
             # to plain Adam on the prediction loss
             for name, part in parts.items():
-                w = params.tensor(name).matrix
-                pen += penalty(w, part, gammas[name], lam)
-                grads.tensor(name).matrix[...] += penalty_grad(
-                    w, part, gammas[name], lam
-                )
+                pen += penalty(params.tensor(name).matrix, part, gammas[name],
+                               lam, grad=grads.tensor(name).matrix)
         mixed = pred + pen
         _check_finite(mixed, params, s)
         adam_step(params, grads, state)

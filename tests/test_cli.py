@@ -122,6 +122,12 @@ class TestSweepCommand:
     def test_unknown_name_exits_2(self, cfg_path, capsys):
         assert main(["sweep", "nope", "--config", cfg_path]) == 2
 
+    def test_sweep_without_values_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[sweep.x]\nvary = seed\nvalues =\n")
+        assert main(["sweep", "x", "--config", str(bad)]) == 2
+        assert "bad.cfg:1: sweep 'x' has no values" in capsys.readouterr().err
+
 
 class TestStorageReportCommand:
     def test_fixture_totals(self, tmp_path, capsys):

@@ -183,6 +183,18 @@ vary = seed
         with pytest.raises(ConfigError, match="values"):
             resolve_settings(raw, {})
 
+    def test_sweep_without_values_has_line_number(self, tmp_path):
+        raw = parse_config(write(tmp_path, """
+[train]
+seed = 3
+
+[sweep.x]
+vary = seed
+values =
+"""))
+        with pytest.raises(ConfigError, match=r"c\.cfg:5: sweep 'x' has no values"):
+            resolve_settings(raw, {})
+
     def test_model_section_shapes_the_arch(self, tmp_path):
         raw = parse_config(write(tmp_path, """
 [model]

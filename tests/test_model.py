@@ -5,6 +5,7 @@ from blockprune.errors import CheckpointError, DataError, ShapeError
 from blockprune.model import (
     ArchConfig,
     Batch,
+    _embedding_grad,
     build_model,
     evaluate,
     forward,
@@ -174,6 +175,25 @@ class TestBackward:
         _, reused = loss_and_gradients(params, batch, store)
         assert reused is store
         assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "repeated", "all_equal"])
+    def test_embedding_grad_is_add_at_bitwise(self, kind):
+        # each row of the gradient sums many dX rows; the sum must run
+        # in np.add.at's index order for the bits to match
+        rng = np.random.default_rng(11)
+        vocab, d = 7, 5
+        toks = {
+            "random": rng.integers(0, vocab, size=(6, 9)),
+            "repeated": np.tile([3, 0, 3, 6, 3], (4, 2)),
+            "all_equal": np.full((5, 8), 2),
+        }[kind]
+        dX = rng.normal(size=toks.shape + (d,)) * 10.0 ** rng.integers(
+            -8, 8, size=toks.shape + (d,))
+        expect = np.zeros((vocab, d))
+        np.add.at(expect, toks.reshape(-1), dX.reshape(-1, d))
+        out = np.full((vocab, d), np.nan)
+        _embedding_grad(toks, dX, out)
+        assert out.tobytes() == expect.tobytes()
 
 
 class TestDataset:

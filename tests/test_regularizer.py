@@ -154,6 +154,25 @@ class TestPenaltyGrad:
         with pytest.raises(ShapeError):
             penalty_grad(w, p, gamma_update(w, other), 1.0)
 
+    @pytest.mark.parametrize("axis", [ROW, COLUMN])
+    def test_in_place_gradient_is_penalty_grad_added_bitwise(self, axis):
+        # penalty(..., grad=G) must give the bits of the two-call form
+        # penalty(...) and G += penalty_grad(...), zeroed segment included
+        rng = np.random.default_rng(53)
+        w = rng.normal(size=(8, 12))
+        p = make_partition(8, 12, axis, 4, "w")
+        segments(w, p)[1, 2] = 0.0
+        g = gamma_update(rng.normal(size=(8, 12)), p)
+        lam = 3.7e-4
+        start = rng.normal(size=(8, 12))
+        expect = start.copy()
+        expect += penalty_grad(w, p, g, lam)
+        grad = start.copy()
+        value = penalty(w, p, g, lam, grad=grad)
+        assert grad.tobytes() == expect.tobytes()
+        assert np.float64(value).tobytes() == np.float64(
+            penalty(w, p, g, lam)).tobytes()
+
 
 class TestSegments:
     def test_row_axis_is_a_view_of_row_runs(self):
