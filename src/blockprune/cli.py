@@ -30,7 +30,9 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--verbose", action="store_true")
     common.add_argument("--workers", type=int, default=1,
-                        help="concurrent sweep cells")
+                        help="worker processes for the cells of a sweep or "
+                             "sensitivity scan (forked, so Linux only); 1 "
+                             "runs them in this process")
 
     parser = argparse.ArgumentParser(
         prog="blockprune",
@@ -254,6 +256,8 @@ def cmd_eval(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -90,7 +90,9 @@ class ModelParams:
     in registry order, matrix before bias. Each tensor's `matrix` and
     `bias` are reshaped views into it, so a write to either is a write
     to `flat` and the reverse. The constructor copies its inputs into a
-    fresh buffer.
+    fresh buffer; a store pickles as its tensors and unpickles through
+    the constructor, so the views of an unpickled store are views into
+    its own `flat` too.
     """
 
     def __init__(self, tensors: list[tuple[str, WeightTensor]]):
@@ -128,6 +130,9 @@ class ModelParams:
 
     def clone(self) -> "ModelParams":
         return ModelParams(list(self.items()))
+
+    def __reduce__(self):
+        return ModelParams, (list(self.items()),)
 
     def zeros_like(self) -> "ModelParams":
         """Same names, shapes and layout with every entry +0.0."""

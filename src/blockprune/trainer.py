@@ -20,9 +20,12 @@ step, and the loop zeroes nothing when no masks are given: the test
 suite checks bit for bit that phases two and three then reproduce
 `plain_train`.
 
-`run_pipeline` can take the baseline and reweighted phases from a cache
-keyed by the config fields each phase reads (`phase_keys`), so runs of
-one sweep that share a prefix train it once.
+A run is three module-level calls, which `run_pipeline` composes and
+which a sweep can ship one by one to worker processes:
+`baseline_phase`, `reweighted_phase`, and `pipeline_tail` for prune and
+retrain. `run_pipeline` can take the first two from a cache keyed by
+the config fields each phase reads (`phase_keys`), so runs that share a
+prefix train it once.
 """
 
 from __future__ import annotations
@@ -424,6 +427,91 @@ def phase_keys(config: TrainConfig) -> tuple[tuple, tuple]:
     return baseline, reweighted
 
 
+def _end_accuracy(params: ModelParams, report: RunReport, steps: int,
+                  eval_ds: list[Batch]) -> float:
+    """Accuracy after a phase: the loop's own evaluation at its last
+    step when it made one, else a fresh one."""
+    if report.accuracy_at and report.accuracy_at[-1][0] == steps:
+        return report.accuracy_at[-1][1]
+    return evaluate(params, eval_ds)
+
+
+def baseline_phase(config: TrainConfig):
+    """Phase one of a run, from its config alone: the model and both
+    datasets from the seed, then plain training.
+
+    Returns (params, report, accuracy, train_ds, eval_ds).
+    """
+    init_seed, train_seed, eval_seed = derive_seeds(config.seed, 3)
+    params = build_model(
+        config.arch, make_rng(init_seed),
+        prunable_overrides=config.prunable_overrides,
+    )
+    train_ds = make_synthetic_dataset(
+        train_seed, config.train_samples, config.arch.seq_len,
+        config.arch.vocab, config.batch_size,
+    )
+    eval_ds = make_synthetic_dataset(
+        eval_seed, config.eval_samples, config.arch.seq_len,
+        config.arch.vocab, config.batch_size,
+    )
+    with _phase("baseline"):
+        report = plain_train(
+            params, train_ds, config.baseline_steps, config.learning_rate,
+            batch_size=config.batch_size, eval_dataset=eval_ds,
+            eval_every=config.eval_every,
+        )
+        accuracy = _end_accuracy(params, report, config.baseline_steps,
+                                 eval_ds)
+    return params, report, accuracy, train_ds, eval_ds
+
+
+def reweighted_phase(config: TrainConfig, params: ModelParams,
+                     train_ds: list[Batch], eval_ds: list[Batch]):
+    """Phase two on `params`, in place: (params, gamma_history, report)."""
+    with _phase("reweighted"):
+        return reweighted_train(params, train_ds, config, eval_dataset=eval_ds)
+
+
+def pipeline_tail(config: TrainConfig, params: ModelParams,
+                  train_ds: list[Batch], eval_ds: list[Batch],
+                  say=lambda msg: None) -> tuple[dict, RunReport]:
+    """Prune `params`, the reweighted phase's store or a clone of it, in
+    place and retrain it.
+
+    Returns the `PipelineResult` fields this computes (params, masks,
+    pruned_accuracy, final_accuracy, compression, compression_all) and
+    the retrain report.
+    """
+    with _phase("prune"):
+        masks = prune_model(params, config.prune_spec)
+        pruned_accuracy = evaluate(params, eval_ds)
+        compression, compression_all = (
+            model_compression_rates(params, masks) if masks else (1.0, 1.0)
+        )
+    say(
+        f"pruned: compression {compression:.3f}x over prunable tensors, "
+        f"accuracy {pruned_accuracy:.4f} before retraining"
+    )
+
+    say(f"retrain: {config.t2} steps at lr {config.learning_rate}")
+    with _phase("retrain"):
+        params, rt_report = retrain(
+            params, masks, train_ds, config, eval_dataset=eval_ds
+        )
+        final_accuracy = _end_accuracy(params, rt_report, config.t2, eval_ds)
+    say(f"final accuracy {final_accuracy:.4f}")
+    rt_report.compression = compression
+    return dict(
+        params=params,
+        masks=masks,
+        pruned_accuracy=pruned_accuracy,
+        final_accuracy=final_accuracy,
+        compression=compression,
+        compression_all=compression_all,
+    ), rt_report
+
+
 def run_pipeline(config: TrainConfig, out_dir: str | None = None,
                  verbose: bool = False, cache=None) -> PipelineResult:
     """Full run: build, baseline train, reweight, prune, retrain, evaluate.
@@ -451,72 +539,21 @@ def run_pipeline(config: TrainConfig, out_dir: str | None = None,
         if verbose:
             print(msg, flush=True)
 
-    def baseline():
-        init_seed, train_seed, eval_seed = derive_seeds(config.seed, 3)
-        params = build_model(
-            config.arch, make_rng(init_seed),
-            prunable_overrides=config.prunable_overrides,
-        )
-        train_ds = make_synthetic_dataset(
-            train_seed, config.train_samples, config.arch.seq_len,
-            config.arch.vocab, config.batch_size,
-        )
-        eval_ds = make_synthetic_dataset(
-            eval_seed, config.eval_samples, config.arch.seq_len,
-            config.arch.vocab, config.batch_size,
-        )
-        with _phase("baseline"):
-            report = plain_train(
-                params, train_ds, config.baseline_steps, config.learning_rate,
-                batch_size=config.batch_size, eval_dataset=eval_ds,
-                eval_every=config.eval_every,
-            )
-            accuracy = evaluate(params, eval_ds)
-        return params, report, accuracy, train_ds, eval_ds
-
     say(f"baseline: {config.baseline_steps} steps at lr {config.learning_rate}")
     (baseline_params, baseline_report, baseline_accuracy, train_ds,
-     eval_ds) = fetch(baseline_key, baseline)
+     eval_ds) = fetch(baseline_key, lambda: baseline_phase(config))
     say(f"baseline accuracy {baseline_accuracy:.4f}")
 
-    def reweighted():
-        with _phase("reweighted"):
-            return reweighted_train(
-                own(baseline_params), train_ds, config, eval_dataset=eval_ds,
-            )
-
     say(f"reweighted: {config.t1} steps at lr {config.rw_learning_rate}")
-    rw_params, gamma_history, rw_report = fetch(reweighted_key, reweighted)
+    rw_params, gamma_history, rw_report = fetch(
+        reweighted_key, lambda: reweighted_phase(
+            config, own(baseline_params), train_ds, eval_ds))
 
-    params = own(rw_params)
-    with _phase("prune"):
-        masks = prune_model(params, config.prune_spec)
-        pruned_accuracy = evaluate(params, eval_ds)
-        compression, compression_all = (
-            model_compression_rates(params, masks) if masks else (1.0, 1.0)
-        )
-    say(
-        f"pruned: compression {compression:.3f}x over prunable tensors, "
-        f"accuracy {pruned_accuracy:.4f} before retraining"
-    )
-
-    say(f"retrain: {config.t2} steps at lr {config.learning_rate}")
-    with _phase("retrain"):
-        params, rt_report = retrain(
-            params, masks, train_ds, config, eval_dataset=eval_ds
-        )
-        final_accuracy = evaluate(params, eval_ds)
-    say(f"final accuracy {final_accuracy:.4f}")
-    rt_report.compression = compression
-
+    tail, rt_report = pipeline_tail(config, own(rw_params), train_ds,
+                                    eval_ds, say)
     result = PipelineResult(
-        params=params,
-        masks=masks,
+        **tail,
         baseline_accuracy=baseline_accuracy,
-        pruned_accuracy=pruned_accuracy,
-        final_accuracy=final_accuracy,
-        compression=compression,
-        compression_all=compression_all,
         reports={
             "baseline": baseline_report,
             "reweighted": rw_report,

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from blockprune import trainer
 from blockprune.cli import main
 from blockprune.model import (
     ArchConfig,
@@ -127,6 +130,28 @@ class TestSweepCommand:
         bad.write_text("[sweep.x]\nvary = seed\nvalues =\n")
         assert main(["sweep", "x", "--config", str(bad)]) == 2
         assert "bad.cfg:1: sweep 'x' has no values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, cfg_path, tmp_path, capsys,
+                                      workers):
+        code = main(["sweep", "seeds", "--config", cfg_path,
+                     "--out", str(tmp_path), "--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --workers must be >= 1, got {workers}\n"
+
+    def test_dead_worker_exits_1_without_traceback(self, cfg_path, tmp_path,
+                                                  capsys, monkeypatch):
+        # the forked workers inherit the patch and die in the baseline
+        monkeypatch.setattr(trainer, "plain_train",
+                            lambda *args, **kwargs: os._exit(1))
+        code = main(["sweep", "seeds", "--config", cfg_path,
+                     "--out", str(tmp_path / "sw"), "--workers", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker process died")
+        assert "Traceback" not in err
+        assert not (tmp_path / "sw").exists()
 
 
 class TestStorageReportCommand:

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -114,6 +111,11 @@ class TestSweep:
                                    vary="num_blocks", values=(4,)))
         del alone["wall_clock_seconds"], by_value[4]["wall_clock_seconds"]
         assert by_value[4] == alone
+        # a worker process's error comes back as the same row
+        pooled = sweep(spec, workers=2)
+        for row in pooled + rows:
+            row.pop("wall_clock_seconds", None)
+        assert pooled == rows
 
     def test_workers_do_not_change_results(self):
         spec = SweepSpec(name="s", base=tiny_config(), vary="seed",
@@ -154,20 +156,27 @@ def same_run(a, b):
 
 
 @pytest.fixture
-def phase_calls(monkeypatch):
-    """Count the cached phases' runs, by wrapping the functions
-    `run_pipeline` calls them through."""
-    calls = {"plain_train": 0, "reweighted_train": 0}
-    lock = threading.Lock()
-    for name in calls:
+def phase_calls(monkeypatch, tmp_path):
+    """Count the cached phases' runs, by wrapping the functions the
+    phases call. Worker processes are forked with the wrappers in place
+    and append to one file; `calls()` reads the counts from it."""
+    log = tmp_path / "phase_calls"
+    log.touch()
+    names = ("plain_train", "reweighted_train")
+    for name in names:
         original = getattr(trainer, name)
 
         def counted(*args, original=original, name=name, **kwargs):
-            with lock:
-                calls[name] += 1
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(name + "\n")
             return original(*args, **kwargs)
 
         monkeypatch.setattr(trainer, name, counted)
+
+    def calls():
+        lines = log.read_text(encoding="ascii").split()
+        return {name: lines.count(name) for name in names}
+
     return calls
 
 
@@ -185,27 +194,16 @@ class TestPhaseCache:
         configs = [apply_value(base, vary, v) for v in values]
         cache = PhaseCache()
         cached = [run_pipeline(cfg, cache=cache) for cfg in configs]
-        assert (phase_calls["plain_train"],
-                phase_calls["reweighted_train"]) == phases
+        assert tuple(phase_calls().values()) == phases
         for cfg, got in zip(configs, cached):
             same_run(got, run_pipeline(cfg))
 
     def test_each_prefix_computed_once_with_workers(self, phase_calls):
         spec = SweepSpec(name="s", base=tiny_config(),
                          vary="compression_rate", values=(1.5, 2.0, 4.0))
-        rows = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(
-                target=lambda: rows.extend(sweep(spec, workers=3)))
-            worker.start()
-            worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
+        rows = sweep(spec, workers=3)
         assert [r["status"] for r in rows] == ["ok"] * 3
-        assert phase_calls == {"plain_train": 1, "reweighted_train": 1}
+        assert phase_calls() == {"plain_train": 1, "reweighted_train": 1}
         serial = sweep(spec)
         for a, b in zip(rows, serial):
             assert (a["value"], a["accuracy"], a["compression"]) == (
@@ -213,11 +211,28 @@ class TestPhaseCache:
 
     def test_scan_shares_baselines_by_override(self, phase_calls):
         sensitivity_scan(tiny_config(), 0.5, workers=2)
-        assert phase_calls == {"plain_train": 1, "reweighted_train": 6}
+        assert phase_calls() == {"plain_train": 1, "reweighted_train": 6}
         sensitivity_scan(tiny_config(), 0.5, include_nonprunable=True)
         # embedding and classifier each train with their own override
-        assert phase_calls == {"plain_train": 1 + 3,
-                               "reweighted_train": 6 + 8}
+        assert phase_calls() == {"plain_train": 1 + 3,
+                                 "reweighted_train": 6 + 8}
+
+    def test_several_prefixes_on_workers_equal_serial(self, phase_calls):
+        # each block count has its own reweighted phase on one baseline
+        spec = SweepSpec(name="s", base=tiny_config(eval_every=3),
+                         vary="num_blocks", values=(1, 2, 4))
+        rows = sweep(spec, workers=2)
+        assert phase_calls() == {"plain_train": 1, "reweighted_train": 3}
+        serial = sweep(spec)
+        for row in rows + serial:
+            assert row["status"] == "ok"
+            del row["wall_clock_seconds"]
+        assert rows == serial
+        for row in rows:
+            alone = run_pipeline(apply_value(spec.base, "num_blocks",
+                                             row["value"]))
+            assert (row["accuracy"], row["compression"]) == (
+                alone.final_accuracy, alone.compression)
 
 
 class TestSensitivity:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,20 @@ class TestFlatStore:
         assert_views_of_flat(zeros)
         assert zeros.names() == params.names()
         assert zeros.flat.tobytes() == bytes(8 * params.flat.size)
+
+    def test_pickle_round_trip_keeps_bytes_and_views(self):
+        params = tiny_model(seed=15)
+        back = pickle.loads(pickle.dumps(params))
+        assert_views_of_flat(back)
+        assert back.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(back.flat, params.flat)
+        for name, t in params.items():
+            other = back.tensor(name)
+            assert (other.role, other.prunable) == (t.role, t.prunable)
+            assert other.matrix.shape == t.matrix.shape
+            assert (other.bias is None) == (t.bias is None)
+        back.flat[...] = 1.0  # a write to the buffer reaches every view
+        assert all((t.matrix == 1.0).all() for _, t in back.items())
 
     def test_layout_is_registry_order_matrix_before_bias(self):
         params = tiny_model(seed=14)

@@ -9,6 +9,7 @@ from blockprune.errors import MaskError, NonFiniteError, ShapeError
 from blockprune.model import (
     ArchConfig,
     build_model,
+    evaluate,
     make_synthetic_dataset,
 )
 from blockprune.numerics import ROW
@@ -310,6 +311,33 @@ class TestPipeline:
         result = run_pipeline(tiny_config())
         assert len(seen) == 3
         assert all(params is result.params for params in seen)
+
+    @pytest.mark.parametrize("eval_every,calls", [
+        # the loop evaluates at steps 4, 8 (baseline), 4, 8, 12
+        # (reweighted) and 4, 8, 10 (retrain), and each phase's accuracy
+        # is the loop's last; one more evaluation follows pruning
+        (4, 2 + 3 + 3 + 1),
+        # no loop evaluation: after baseline, pruning and retraining
+        (0, 3),
+    ])
+    def test_one_evaluation_per_phase_end(self, monkeypatch, eval_every,
+                                          calls):
+        seen = []
+
+        def counted(params, dataset, original=trainer.evaluate):
+            seen.append(original(params, dataset))
+            return seen[-1]
+
+        monkeypatch.setattr(trainer, "evaluate", counted)
+        cfg = tiny_config(eval_every=eval_every)
+        result = run_pipeline(cfg)
+        assert len(seen) == calls
+        eval_ds = make_synthetic_dataset(
+            derive_seeds(cfg.seed, 3)[2], cfg.eval_samples, TINY.seq_len,
+            TINY.vocab, cfg.batch_size)
+        assert result.final_accuracy == evaluate(result.params, eval_ds)
+        assert (result.baseline_accuracy, result.final_accuracy) == (
+            seen[1 if eval_every else 0], seen[-1])
 
     def test_errors_carry_the_phase_name(self):
         # the penalty rejects the non-prunable layer before pruning runs
