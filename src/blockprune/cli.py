@@ -199,6 +199,12 @@ def cmd_bench(args) -> int:
         ) from None
     if not sizes or not sparsities:
         raise ConfigError("need at least one size and one sparsity")
+    if min(sizes) < 1:
+        raise ConfigError(f"--sizes must be >= 1, got {args.sizes!r}")
+    if not all(0.0 <= s < 1.0 for s in sparsities):  # false for nan too
+        raise ConfigError(
+            f"--sparsities must lie in [0, 1), got {args.sparsities!r}"
+        )
     seed = args.seed if args.seed is not None else 0
     rows = bench_spmm(sizes, sparsities, args.reps,
                       num_blocks=args.num_blocks, seed=seed)
@@ -258,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -242,6 +242,8 @@ def resolve_settings(
         key: get(section, key) for section in ("dataset", "train")
         for key in _SCHEMA[section] if key not in _MILESTONE_KEYS
     }
+    if sources["train.seed"] == "config" and scalars["seed"] < 0:
+        raise ConfigError(f"{_loc(raw, 'train', 'seed')}: seed must be >= 0")
 
     milestones_value = None
     if raw is not None and "train" in raw.sections:
@@ -285,10 +287,12 @@ def resolve_settings(
     ), sources
 
 
-def _loc(raw: RawConfig | None, section: str) -> str:
+def _loc(raw: RawConfig | None, section: str, key: str | None = None) -> str:
+    """`path:line` of the key if the config gives it, else of the section."""
     if raw is None:
         return "<defaults>"
-    lineno = raw.section_lines.get(section)
+    entry = raw.sections.get(section, {}).get(key)
+    lineno = entry[1] if entry else raw.section_lines.get(section)
     return f"{raw.path}:{lineno}" if lineno else raw.path
 
 
@@ -381,5 +385,9 @@ def _resolve_sweeps(raw: RawConfig | None, base: TrainConfig) -> dict[str, Sweep
             ) from None
         if not values:
             raise ConfigError(f"{_loc(raw, section)}: sweep {name!r} has no values")
+        if vary == "seed" and min(values) < 0:
+            raise ConfigError(
+                f"{_loc(raw, section, 'values')}: seed must be >= 0"
+            )
         sweeps[name] = SweepSpec(name=name, base=base, vary=vary, values=values)
     return sweeps

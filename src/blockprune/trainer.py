@@ -138,6 +138,8 @@ class TrainConfig:
                 f"classes ({self.arch.classes}) must cover the vocab "
                 f"({self.arch.vocab}) for the modal-token task"
             )
+        if self.seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.seed}")
         if self.train_samples < 1 or self.eval_samples < 1:
             raise ShapeError("sample counts must be positive")
         if self.batch_size < 1:

@@ -91,6 +91,14 @@ class TestTrainCommand:
         assert "train.seed: flag" in text
         assert "# seed=21" in (out / "summary.txt").read_text()
 
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[train]\nbatch_size = 8\nseed = -5\n")
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad}:3: seed must be >= 0\n"
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[train]\nnot_a_key = 1\n")
@@ -130,6 +138,18 @@ class TestSweepCommand:
         bad.write_text("[sweep.x]\nvary = seed\nvalues =\n")
         assert main(["sweep", "x", "--config", str(bad)]) == 2
         assert "bad.cfg:1: sweep 'x' has no values" in capsys.readouterr().err
+
+    def test_negative_seed_value_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG.replace("values = 3, 9", "values = 1, -3"))
+        out = tmp_path / "sw"
+        code = main(["sweep", "seeds", "--config", str(bad),
+                     "--out", str(out)])
+        assert code == 2
+        line = TINY_CFG.splitlines().index("values = 3, 9") + 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad}:{line}: seed must be >= 0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, cfg_path, tmp_path, capsys,
@@ -201,6 +221,28 @@ class TestBenchCommand:
     def test_too_few_reps_exits_2(self, capsys):
         assert main(["bench", "--reps", "2"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sizes", "-8", "--sizes must be >= 1, got '-8'"),
+        ("--sizes", "16,0", "--sizes must be >= 1, got '16,0'"),
+        ("--sparsities", "-0.2", "--sparsities must lie in [0, 1), got '-0.2'"),
+        ("--sparsities", "nan", "--sparsities must lie in [0, 1), got 'nan'"),
+        ("--sparsities", "0.5,inf",
+         "--sparsities must lie in [0, 1), got '0.5,inf'"),
+        ("--sparsities", "1", "--sparsities must lie in [0, 1), got '1'"),
+    ])
+    def test_bad_grid_exits_2_before_any_work(self, tmp_path, capsys,
+                                              monkeypatch, flag, value,
+                                              message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench ran")
+
+        monkeypatch.setattr("blockprune.cli.bench_spmm", no_work)
+        out = tmp_path / "b"
+        code = main(["bench", flag, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -260,3 +302,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"],
+        ["eval", "--seed", "-2", "--checkpoint", "/no/such/dir"],
+        ["bench", "--seed", "-1"],
+    ], ids=["train", "eval", "bench"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
+        value = argv[2]
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --seed must be >= 0, got {value}\n"
+        assert not (tmp_path / "out").exists()

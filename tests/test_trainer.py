@@ -268,6 +268,10 @@ class TestConfigValidation:
         with pytest.raises(ShapeError):
             tiny_config(lambda_max=-1e-4).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ShapeError, match="seed must be >= 0, got -1"):
+            tiny_config(seed=-1).validate()
+
     def test_rw_learning_rate_falls_back(self):
         assert tiny_config(reweighted_learning_rate=None).rw_learning_rate \
             == tiny_config().learning_rate
