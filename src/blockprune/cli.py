@@ -205,6 +205,13 @@ def cmd_bench(args) -> int:
         raise ConfigError(
             f"--sparsities must lie in [0, 1), got {args.sparsities!r}"
         )
+    if args.num_blocks < 1:
+        raise ConfigError(f"--num-blocks must be >= 1, got {args.num_blocks}")
+    for n in sizes:
+        if n % args.num_blocks:
+            raise ConfigError(
+                f"--num-blocks {args.num_blocks} does not divide size {n}"
+            )
     seed = args.seed if args.seed is not None else 0
     rows = bench_spmm(sizes, sparsities, args.reps,
                       num_blocks=args.num_blocks, seed=seed)

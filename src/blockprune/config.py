@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .experiments import VARY, SweepSpec, steps_per_epoch
 from .model import LAYOUT, TENSOR_NAMES, ArchConfig
 from .pruner import PruneEntry, PruneSpec
@@ -116,48 +116,50 @@ def _schema_for(section: str) -> dict | None:
 def parse_config(path: str) -> RawConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"config path is a directory: {path}")
     raw = RawConfig(path=path)
     current: str | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if text.startswith("[") and text.endswith("]"):
-                section = text[1:-1].strip()
-                if _schema_for(section) is None:
-                    raise ConfigError(
-                        f"{path}:{lineno}: unknown section [{section}]"
-                    )
-                if section in raw.sections:
-                    raise ConfigError(
-                        f"{path}:{lineno}: duplicate section [{section}]"
-                    )
-                raw.sections[section] = {}
-                raw.section_lines[section] = lineno
-                current = section
-                continue
-            if "=" not in text:
+    for lineno, line in enumerate(read_lines(path, "utf-8", ConfigError),
+                                  start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if text.startswith("[") and text.endswith("]"):
+            section = text[1:-1].strip()
+            if _schema_for(section) is None:
                 raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value' or '[section]', "
-                    f"got {text!r}"
+                    f"{path}:{lineno}: unknown section [{section}]"
                 )
-            if current is None:
+            if section in raw.sections:
                 raise ConfigError(
-                    f"{path}:{lineno}: key outside any [section]"
+                    f"{path}:{lineno}: duplicate section [{section}]"
                 )
-            key, _, value = text.partition("=")
-            key = key.strip()
-            schema = _schema_for(current)
-            if key not in schema:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r} in [{current}]"
-                )
-            if key in raw.sections[current]:
-                raise ConfigError(
-                    f"{path}:{lineno}: duplicate key {key!r} in [{current}]"
-                )
-            raw.sections[current][key] = (value.strip(), lineno)
+            raw.sections[section] = {}
+            raw.section_lines[section] = lineno
+            current = section
+            continue
+        if "=" not in text:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value' or '[section]', "
+                f"got {text!r}"
+            )
+        if current is None:
+            raise ConfigError(
+                f"{path}:{lineno}: key outside any [section]"
+            )
+        key, _, value = text.partition("=")
+        key = key.strip()
+        schema = _schema_for(current)
+        if key not in schema:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r} in [{current}]"
+            )
+        if key in raw.sections[current]:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r} in [{current}]"
+            )
+        raw.sections[current][key] = (value.strip(), lineno)
     return raw
 
 

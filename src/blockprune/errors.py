@@ -1,4 +1,5 @@
-"""Exception types raised by the package.
+"""Exception types raised by the package, and the text-file reader
+whose undecodable bytes become one of them.
 
 Every error carries a human-readable message naming the offending
 shapes, indices, or config lines so failures are diagnosable from the
@@ -36,3 +37,16 @@ class CheckpointError(BlockpruneError):
 
 class ConfigError(BlockpruneError):
     """Invalid config file contents; message includes the line number."""
+
+
+def read_lines(path: str, encoding: str,
+               error: type[BlockpruneError]) -> list[str]:
+    """The lines of a text file; a byte the encoding cannot decode
+    raises `error` naming `path:line`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode(encoding).splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not {encoding} text") from None

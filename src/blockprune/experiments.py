@@ -1,5 +1,6 @@
 """Scripted studies: one-dimension sweeps and the per-layer sensitivity
-scan, emitted as CSV tables.
+scan, emitted as CSV tables, and `run_cells`, which runs several
+pipeline configs as cells that share their phases.
 
 A sweep varies exactly one knob across a list of values and gives one
 pipeline run, a cell, per value. Cells whose configs agree on a phase's
@@ -30,8 +31,8 @@ from dataclasses import dataclass, replace
 from .errors import BlockpruneError, ConfigError
 from .model import LAYOUT, ModelParams
 from .pruner import PruneEntry, PruneSpec
-from .trainer import (TrainConfig, baseline_phase, phase_keys, pipeline_tail,
-                      reweighted_phase)
+from .trainer import (PipelineResult, TrainConfig, baseline_phase, phase_keys,
+                      pipeline_result, pipeline_tail, reweighted_phase)
 
 # sweep dimension -> type of its values
 VARY = {
@@ -121,33 +122,6 @@ def _run_now(fn, *args) -> Future:
     return future
 
 
-class PhaseCache:
-    """Phase results by key (`trainer.phase_keys`), shared by the cells
-    of one sweep or scan, or by the runs given to `run_pipeline` as
-    their cache.
-
-    The first run to need a key starts its computation through `submit`,
-    by default `_run_now`, in this process; a sweep on worker processes
-    passes its pool's. Later runs get the same future, so the same
-    result or error. Stored parameter stores are never written.
-    """
-
-    def __init__(self, submit=_run_now):
-        self._submit = submit
-        self._futures: dict[tuple, Future] = {}
-
-    def future(self, key: tuple, fn, *args) -> tuple[Future, bool]:
-        """The future of phase `key`, and whether this call started it
-        as `fn(*args)`."""
-        started = key not in self._futures
-        if started:
-            self._futures[key] = self._submit(fn, *args)
-        return self._futures[key], started
-
-    def get(self, key: tuple, compute):
-        return self.future(key, compute)[0].result()
-
-
 def _timed(fn, *args):
     """(fn(*args), its elapsed seconds), measured where it runs."""
     started = time.perf_counter()
@@ -155,62 +129,47 @@ def _timed(fn, *args):
     return out, time.perf_counter() - started
 
 
-def _cell_tail(config: TrainConfig, params: ModelParams,
-               train_ds: list, eval_ds: list) -> tuple[float, float]:
-    """(final accuracy, compression) of one cell; `params`, a copy of
-    its reweighted store, is pruned and retrained in place."""
-    tail, _ = pipeline_tail(config, params, train_ds, eval_ds)
-    return tail["final_accuracy"], tail["compression"]
+def _cell(config: TrainConfig, shared, submit):
+    """One run, as a generator that yields each future it needs and is
+    sent that future's result or thrown its error; it returns the run's
+    `PipelineResult` or raises its `BlockpruneError`.
 
-
-def _cell(config: TrainConfig, value, phases: PhaseCache, submit):
-    """One cell, as a generator that yields each future it needs and is
-    sent that future's result or thrown its error; it returns the
-    cell's row.
-
-    The cell's wall clock is the time of the phases it started plus its
-    own prune and retrain.
+    `shared(key, fn, *args)` gives the future of phase `key` and
+    whether this call started it. The result's wall clock is the time
+    of the phases the run started plus its own prune and retrain.
     """
-    try:
-        config.validate()
-        baseline_key, reweighted_key = phase_keys(config)
-        future, started = phases.future(baseline_key, _timed,
-                                        baseline_phase, config)
-        (params, _, _, train_ds, eval_ds), seconds = yield future
-        spent = seconds if started else 0.0
-        future, started = phases.future(reweighted_key, _timed,
-                                        reweighted_phase, config, params,
-                                        train_ds, eval_ds)
-        (params, _, _), seconds = yield future
-        spent += seconds if started else 0.0
-        (accuracy, compression), seconds = yield submit(
-            _timed, _cell_tail, config, params, train_ds, eval_ds)
-    except BlockpruneError as exc:
-        return {
-            "value": value,
-            "accuracy": "",
-            "compression": "",
-            "wall_clock_seconds": "",
-            "status": f"error: {exc}",
-        }
-    return {
-        "value": value,
-        "accuracy": accuracy,
-        "compression": compression,
-        "wall_clock_seconds": spent + seconds,
-        "status": "ok",
-    }
+    config.validate()
+    baseline_key, reweighted_key = phase_keys(config)
+    future, started = shared(baseline_key, baseline_phase, config)
+    baseline, seconds = yield future
+    params, _, _, train_ds, eval_ds = baseline
+    spent = seconds if started else 0.0
+    future, started = shared(reweighted_key, reweighted_phase, config,
+                             params, train_ds, eval_ds)
+    reweighted, seconds = yield future
+    spent += seconds if started else 0.0
+    tail, seconds = yield submit(_timed, pipeline_tail, config,
+                                 reweighted[0], train_ds, eval_ds)
+    return pipeline_result(baseline, reweighted, tail, spent + seconds)
 
 
-def _schedule(configs: list[TrainConfig], values: list, submit) -> list[dict]:
-    """One row per cell, in cell order, with every call made through
+def _schedule(configs: list[TrainConfig], submit) -> list:
+    """One outcome per config, in order, with every call made through
     `submit`: each cell runs as far as its futures are done, so with
     `_run_now` the cells run one after another, and on a pool each
     distinct phase starts once, when the phase it extends is done, and
-    each cell's tail as soon as its reweighted phase is done."""
-    phases = PhaseCache(submit)
-    cells = [_cell(c, v, phases, submit) for c, v in zip(configs, values)]
-    rows: list[dict | None] = [None] * len(cells)
+    each cell's tail as soon as its reweighted phase is done. Phase
+    results are shared, never written."""
+    phases: dict[tuple, Future] = {}
+
+    def shared(key: tuple, fn, *args) -> tuple[Future, bool]:
+        started = key not in phases
+        if started:
+            phases[key] = submit(_timed, fn, *args)
+        return phases[key], started
+
+    cells = [_cell(c, shared, submit) for c in configs]
+    outcomes: list = [None] * len(cells)
     waiting: dict[int, Future] = {}
 
     def advance(i: int, future: Future | None = None) -> None:
@@ -224,7 +183,10 @@ def _schedule(configs: list[TrainConfig], values: list, submit) -> list[dict]:
                     future = cells[i].send(future.result())
             waiting[i] = future
         except StopIteration as done:
-            rows[i] = done.value
+            outcomes[i] = done.value
+            waiting.pop(i, None)
+        except BlockpruneError as exc:
+            outcomes[i] = exc
             waiting.pop(i, None)
 
     for i in range(len(cells)):
@@ -234,17 +196,19 @@ def _schedule(configs: list[TrainConfig], values: list, submit) -> list[dict]:
         for i, future in list(waiting.items()):
             if future in done:
                 advance(i, future)
-    return rows
+    return outcomes
 
 
-def _run_cells(configs: list[TrainConfig], values: list,
-               workers: int) -> list[dict]:
-    """One row per (config, value) cell, in cell order; cells share
-    their phases, in this process or, with several workers, on a pool
-    of forked worker processes."""
+def run_cells(configs: list[TrainConfig],
+              workers: int = 1) -> list[PipelineResult | BlockpruneError]:
+    """One outcome per config, in order: the run's `PipelineResult`,
+    bit-identical to `run_pipeline(config)` apart from its wall clock,
+    or the `BlockpruneError` it failed with. Runs share their phases, in
+    this process or, with several workers, on a pool of forked worker
+    processes."""
     workers = min(workers, len(configs))
     if workers <= 1:
-        return _schedule(configs, values, _run_now)
+        return _schedule(configs, _run_now)
     # imported here, as they add ~15 ms to every start of the package
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -257,18 +221,35 @@ def _run_cells(configs: list[TrainConfig], values: list,
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:
-        return _schedule(configs, values, pool.submit)
+        return _schedule(configs, pool.submit)
     except BrokenProcessPool as exc:
         raise BlockpruneError(f"a sweep worker process died: {exc}") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
 
+def _rows(configs: list[TrainConfig], values: list, workers: int,
+          column: str = "value") -> list[dict]:
+    """One table row per cell, in cell order; a failed cell's row
+    records its error."""
+    rows = []
+    for value, out in zip(values, run_cells(configs, workers)):
+        failed = isinstance(out, BlockpruneError)
+        rows.append({
+            column: value,
+            "accuracy": "" if failed else out.final_accuracy,
+            "compression": "" if failed else out.compression,
+            "wall_clock_seconds": "" if failed else out.wall_clock,
+            "status": f"error: {out}" if failed else "ok",
+        })
+    return rows
+
+
 def sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """One cell per value, rows sorted by value."""
     values = sorted(spec.values)
     configs = [apply_value(spec.base, spec.vary, v) for v in values]
-    return _run_cells(configs, values, workers)
+    return _rows(configs, values, workers)
 
 
 def sensitivity_scan(
@@ -295,13 +276,8 @@ def sensitivity_scan(
             cfg = replace(cfg, prunable_overrides=overrides)
         return cfg
 
-    rows = _run_cells(
-        [cell_config(n, ov) for n, ov in layers], [n for n, _ in layers],
-        workers,
-    )
-    for row in rows:
-        row["layer"] = row.pop("value")
-    return rows
+    return _rows([cell_config(n, ov) for n, ov in layers],
+                 [n for n, _ in layers], workers, column="layer")
 
 
 def save_table(rows: list[dict], columns: list[str], path: str,

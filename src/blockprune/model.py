@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, ShapeError
+from .errors import CheckpointError, DataError, ShapeError, read_lines
 
 EMBEDDING = "embedding"
 ATTENTION = "attention"
@@ -432,43 +432,45 @@ def load_checkpoint(in_dir: str) -> ModelParams:
     if not os.path.exists(manifest):
         raise CheckpointError(f"no manifest at {manifest}")
     tensors = []
-    with open(manifest, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise CheckpointError(
-                    f"{manifest}:{lineno}: expected 7 fields, got {len(parts)}"
-                )
-            name, rows_s, cols_s, role, prunable_s, data_file, bias_file = parts
-            if any(name == seen for seen, _ in tensors):
-                raise CheckpointError(
-                    f"{manifest}:{lineno}: tensor {name!r} listed twice"
-                )
-            try:
-                rows, cols = int(rows_s), int(cols_s)
-                prunable = bool(int(prunable_s))
-            except ValueError:
-                raise CheckpointError(
-                    f"{manifest}:{lineno}: malformed numeric field"
-                ) from None
-            if rows < 1 or cols < 1:
-                raise CheckpointError(
-                    f"{manifest}:{lineno}: shape {rows}x{cols} is not positive"
-                )
-            if role not in ROLES:
-                raise CheckpointError(f"{manifest}:{lineno}: unknown role {role!r}")
-            matrix = _read_f64(
-                os.path.join(in_dir, data_file), rows * cols
-            ).reshape(rows, cols)
-            bias = None
-            if bias_file != "-":
-                # every bias adds to the matrix's output axis
-                bias = _read_f64(os.path.join(in_dir, bias_file), cols)
-            tensors.append(
-                (name, WeightTensor(matrix=matrix, role=role,
-                                    prunable=prunable, bias=bias))
+    for lineno, raw in enumerate(read_lines(manifest, "ascii",
+                                            CheckpointError), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 7:
+            raise CheckpointError(
+                f"{manifest}:{lineno}: expected 7 fields, got {len(parts)}"
             )
+        name, rows_s, cols_s, role, prunable_s, data_file, bias_file = parts
+        if any(name == seen for seen, _ in tensors):
+            raise CheckpointError(
+                f"{manifest}:{lineno}: tensor {name!r} listed twice"
+            )
+        try:
+            rows, cols = int(rows_s), int(cols_s)
+            prunable = bool(int(prunable_s))
+        except ValueError:
+            raise CheckpointError(
+                f"{manifest}:{lineno}: malformed numeric field"
+            ) from None
+        if rows < 1 or cols < 1:
+            raise CheckpointError(
+                f"{manifest}:{lineno}: shape {rows}x{cols} is not positive"
+            )
+        if role not in ROLES:
+            raise CheckpointError(f"{manifest}:{lineno}: unknown role {role!r}")
+        matrix = _read_f64(
+            os.path.join(in_dir, data_file), rows * cols
+        ).reshape(rows, cols)
+        bias = None
+        if bias_file != "-":
+            # every bias adds to the matrix's output axis
+            bias = _read_f64(os.path.join(in_dir, bias_file), cols)
+        tensors.append(
+            (name, WeightTensor(matrix=matrix, role=role,
+                                prunable=prunable, bias=bias))
+        )
+    if not tensors:
+        raise CheckpointError(f"{manifest}: lists no tensors")
     return ModelParams(tensors)

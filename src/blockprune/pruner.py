@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, MaskError, PartitionError, ShapeError
+from .errors import (CheckpointError, MaskError, PartitionError, ShapeError,
+                     read_lines)
 from .numerics import COLUMN, ROW
 from .regularizer import BlockPartition, group_norms, make_partition, segments
 
@@ -233,8 +234,7 @@ def load_masks(path) -> dict[str, PruneMask]:
     """Read a mask file, rejecting any malformed line with path:line."""
     masks: dict[str, PruneMask] = {}
     try:
-        with open(path, encoding="ascii") as fh:
-            raw = fh.read().splitlines()
+        raw = read_lines(path, "ascii", CheckpointError)
     except OSError as exc:
         raise CheckpointError(f"cannot read mask file {path}: {exc}") from exc
     i = 0

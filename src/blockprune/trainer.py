@@ -20,12 +20,12 @@ step, and the loop zeroes nothing when no masks are given: the test
 suite checks bit for bit that phases two and three then reproduce
 `plain_train`.
 
-A run is three module-level calls, which `run_pipeline` composes and
-which a sweep can ship one by one to worker processes:
-`baseline_phase`, `reweighted_phase`, and `pipeline_tail` for prune and
-retrain. `run_pipeline` can take the first two from a cache keyed by
-the config fields each phase reads (`phase_keys`), so runs that share a
-prefix train it once.
+A run is three module-level calls, which `run_pipeline` composes on
+one parameter store: `baseline_phase`, `reweighted_phase`, and
+`pipeline_tail` for prune and retrain; `pipeline_result` assembles
+what they return. `experiments.run_cells` composes the same calls for
+several runs at once, computing each baseline and reweighted phase
+once per key (`phase_keys`), the config fields the phase reads.
 """
 
 from __future__ import annotations
@@ -406,12 +406,13 @@ def _phase(name: str):
 
 
 def phase_keys(config: TrainConfig) -> tuple[tuple, tuple]:
-    """Cache keys of the baseline and the reweighted phase of a run.
+    """Keys of the baseline and the reweighted phase of a run; runs
+    with equal keys can share the phase.
 
     Each phase is a pure function of the config fields in its key. The
     reweighted key extends the baseline key with the penalty's
     partitions and schedule; the prune entries' mode and value, and t2,
-    only reach prune and retrain, which are never cached.
+    only reach prune and retrain, which are never shared.
     """
     baseline = (
         astuple(config.arch),
@@ -514,47 +515,15 @@ def pipeline_tail(config: TrainConfig, params: ModelParams,
     ), rt_report
 
 
-def run_pipeline(config: TrainConfig, out_dir: str | None = None,
-                 verbose: bool = False, cache=None) -> PipelineResult:
-    """Full run: build, baseline train, reweight, prune, retrain, evaluate.
-
-    A fixed seed makes the whole run bit-reproducible. When out_dir is
-    given, reports, masks, and checkpoints are written there.
-
-    Runs given one `cache`, whose `get(key, compute)` returns `compute()`
-    computed once per key (`experiments.PhaseCache`), compute each
-    baseline and reweighted phase once (see `phase_keys`). The phase
-    after a cached one trains a clone of its parameters, so a run's
-    result does not depend on the cache. Without a cache, no phase's
-    result is kept and every phase trains the one store the baseline
-    built.
-    """
-    config.validate()
-    started = time.perf_counter()
-    baseline_key, reweighted_key = phase_keys(config)
-    if cache is None:
-        fetch, own = (lambda key, compute: compute()), (lambda p: p)
-    else:
-        fetch, own = cache.get, ModelParams.clone
-
-    def say(msg):
-        if verbose:
-            print(msg, flush=True)
-
-    say(f"baseline: {config.baseline_steps} steps at lr {config.learning_rate}")
-    (baseline_params, baseline_report, baseline_accuracy, train_ds,
-     eval_ds) = fetch(baseline_key, lambda: baseline_phase(config))
-    say(f"baseline accuracy {baseline_accuracy:.4f}")
-
-    say(f"reweighted: {config.t1} steps at lr {config.rw_learning_rate}")
-    rw_params, gamma_history, rw_report = fetch(
-        reweighted_key, lambda: reweighted_phase(
-            config, own(baseline_params), train_ds, eval_ds))
-
-    tail, rt_report = pipeline_tail(config, own(rw_params), train_ds,
-                                    eval_ds, say)
-    result = PipelineResult(
-        **tail,
+def pipeline_result(baseline: tuple, reweighted: tuple, tail: tuple,
+                    wall_clock: float) -> PipelineResult:
+    """A run's result from what its `baseline_phase`, `reweighted_phase`
+    and `pipeline_tail` returned."""
+    _, baseline_report, baseline_accuracy, _, _ = baseline
+    _, gamma_history, rw_report = reweighted
+    fields, rt_report = tail
+    return PipelineResult(
+        **fields,
         baseline_accuracy=baseline_accuracy,
         reports={
             "baseline": baseline_report,
@@ -562,8 +531,35 @@ def run_pipeline(config: TrainConfig, out_dir: str | None = None,
             "retrain": rt_report,
         },
         gamma_history=gamma_history,
-        wall_clock=time.perf_counter() - started,
+        wall_clock=wall_clock,
     )
+
+
+def run_pipeline(config: TrainConfig, out_dir: str | None = None,
+                 verbose: bool = False) -> PipelineResult:
+    """Full run: build, baseline train, reweight, prune, retrain, evaluate.
+
+    A fixed seed makes the whole run bit-reproducible. When out_dir is
+    given, reports, masks, and checkpoints are written there. Every
+    phase trains the one store the baseline built.
+    """
+    config.validate()
+    started = time.perf_counter()
+
+    def say(msg):
+        if verbose:
+            print(msg, flush=True)
+
+    say(f"baseline: {config.baseline_steps} steps at lr {config.learning_rate}")
+    baseline = baseline_phase(config)
+    params, _, baseline_accuracy, train_ds, eval_ds = baseline
+    say(f"baseline accuracy {baseline_accuracy:.4f}")
+
+    say(f"reweighted: {config.t1} steps at lr {config.rw_learning_rate}")
+    reweighted = reweighted_phase(config, params, train_ds, eval_ds)
+    tail = pipeline_tail(config, params, train_ds, eval_ds, say)
+    result = pipeline_result(baseline, reweighted, tail,
+                             time.perf_counter() - started)
     if out_dir is not None:
         _emit(result, config, out_dir)
     return result

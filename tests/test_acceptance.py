@@ -8,9 +8,9 @@ reweighting effect on small group norms, and file round-trips. Outcomes
 are recorded in RESULTS so conftest.py can print one line per claim at
 the end of the run.
 
-Pipeline-level checks share full training runs through a cell cache, so
-this file takes a few minutes; everything is deterministic apart from
-the wall-clock measurements.
+Pipeline-level checks share full training runs, computed together on
+first use with shared phases, so this file takes a minute or two;
+everything is deterministic apart from the wall-clock measurements.
 """
 
 import re
@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from blockprune.cli import main as cli_main
-from blockprune.experiments import PhaseCache
+from blockprune.experiments import run_cells
 from blockprune.model import (
     ArchConfig,
     ModelParams,
@@ -68,11 +68,11 @@ from blockprune.sparse import (
 )
 from blockprune.trainer import (
     TrainConfig,
-    phase_keys,
+    baseline_phase,
     plain_train,
     retrain,
+    reweighted_phase,
     reweighted_train,
-    run_pipeline,
 )
 
 RESULTS: list[tuple[int, str, bool]] = []
@@ -109,30 +109,47 @@ def _spec(num_blocks: int, target: float) -> PruneSpec:
     )
 
 
+def _config(seed: int = 42, num_blocks: int = 8, target: float = 0.5,
+            t2: int = 2500) -> TrainConfig:
+    """A run at the shipped hyperparameters."""
+    return TrainConfig(
+        seed=seed, baseline_steps=3750, learning_rate=1e-3,
+        reweighted_learning_rate=3e-4, t1=8000, t2=t2,
+        milestones=tuple(range(100, 8000, 100)), lambda_max=1e-4,
+        lambda_warmup_steps=200, eval_every=0,
+        prune_spec=_spec(num_blocks, target),
+    )
+
+
+# (seed, num_blocks, target, t2) of every run the trend checks read:
+# the compression, block-count, retrain and seed sweeps through the
+# default design point
+_CELL_KEYS = (
+    [(42, 8, target, 2500) for target in (0.3, 0.5, 0.8)]
+    + [(42, k, 0.5, 2500) for k in (2, 4, 16)]
+    + [(42, 8, 0.5, epochs * 625) for epochs in (8, 16)]
+    + [(seed, 8, 0.5, 2500) for seed in (1, 1000, 5000)]
+)
 _CELLS: dict[tuple, object] = {}
-_PHASES = PhaseCache()
 
 
 def cell(seed: int = 42, num_blocks: int = 8, target: float = 0.5,
          t2: int = 2500):
-    """One full pipeline run at the shipped hyperparameters, cached.
+    """One full pipeline run at the shipped hyperparameters.
 
     The trend checks below revisit the same design point from several
-    sweeps, so runs are keyed by everything that varies. The runs share
-    one phase cache: cells of one seed train one baseline, and cells of
-    one seed and block count one reweighted phase.
+    sweeps, so the first call runs every cell they read in one
+    `run_cells` call on two workers: cells of one seed train one
+    baseline, and cells of one seed and block count one reweighted
+    phase.
     """
-    key = (seed, num_blocks, target, t2)
-    if key not in _CELLS:
-        cfg = TrainConfig(
-            seed=seed, baseline_steps=3750, learning_rate=1e-3,
-            reweighted_learning_rate=3e-4, t1=8000, t2=t2,
-            milestones=tuple(range(100, 8000, 100)), lambda_max=1e-4,
-            lambda_warmup_steps=200, eval_every=0,
-            prune_spec=_spec(num_blocks, target),
-        )
-        _CELLS[key] = run_pipeline(cfg, cache=_PHASES)
-    return _CELLS[key]
+    if not _CELLS:
+        outcomes = run_cells([_config(*key) for key in _CELL_KEYS], 2)
+        _CELLS.update(zip(_CELL_KEYS, outcomes))
+    result = _CELLS[(seed, num_blocks, target, t2)]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _arrays(store: ModelParams):
@@ -359,21 +376,9 @@ def test_granularity_retraining_and_seed_trends():
 
 def test_penalty_concentrates_small_group_norms():
     with criterion(9, "penalty halves bottom-30% norms; plain training does not"):
-        cfg = TrainConfig(
-            seed=42, baseline_steps=3750, learning_rate=1e-3,
-            reweighted_learning_rate=3e-4, t1=8000, t2=0,
-            milestones=tuple(range(100, 8000, 100)), lambda_max=1e-4,
-            lambda_warmup_steps=200, eval_every=0, prune_spec=_spec(8, 0.5),
-        )
-        def uncached():
-            raise AssertionError("cfg keys phases the cell did not run")
-
-        # cfg keys the same baseline and reweighted phases as this cell,
-        # whose run leaves both in the shared phase cache
-        cell(seed=42, num_blocks=8)
-        baseline_key, reweighted_key = phase_keys(cfg)
-        params, _, _, ds, _ = _PHASES.get(baseline_key, uncached)
-        penalized = _PHASES.get(reweighted_key, uncached)[0]
+        cfg = _config(t2=0)
+        params, _, _, ds, eval_ds = baseline_phase(cfg)
+        penalized = reweighted_phase(cfg, params.clone(), ds, eval_ds)[0]
 
         parts = {
             name: make_partition(*params.tensor(name).matrix.shape, ROW, 8)

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad.cfg:2" in err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        code = main(["train", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config path is a directory: {tmp_path}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
         "[train]\nbatch_size = 0\n", "[dataset]\ntrain_samples = 0\n",
@@ -229,6 +238,9 @@ class TestBenchCommand:
         ("--sparsities", "0.5,inf",
          "--sparsities must lie in [0, 1), got '0.5,inf'"),
         ("--sparsities", "1", "--sparsities must lie in [0, 1), got '1'"),
+        ("--num-blocks", "0", "--num-blocks must be >= 1, got 0"),
+        # the default --num-blocks 8 divides 16 but not 12
+        ("--sizes", "16,12", "--num-blocks 8 does not divide size 12"),
     ])
     def test_bad_grid_exits_2_before_any_work(self, tmp_path, capsys,
                                               monkeypatch, flag, value,
@@ -290,6 +302,54 @@ class TestEvalCommand:
         ck, _ = fixture_checkpoint(tmp_path)
         assert main(["eval", "--checkpoint", ck]) == 2
         assert ck in capsys.readouterr().err
+
+
+def damage(path: Path, how: str) -> None:
+    """Put a byte that no UTF-8 or ASCII text holds at the start of the
+    file's third line, or cut the file at half its length."""
+    data = path.read_bytes()
+    if how == "non_utf8":
+        lines = data.split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+    else:
+        path.write_bytes(data[:len(data) // 2])
+
+
+class TestDamagedInput:
+    @pytest.mark.parametrize("how", ["non_utf8", "truncated"])
+    @pytest.mark.parametrize("target", [
+        "train_config", "eval_checkpoint", "storage_checkpoint",
+        "storage_mask",
+    ])
+    def test_exits_1_or_2_without_traceback(self, cfg_path, tmp_path,
+                                            capsys, target, how):
+        ck, mask = fixture_checkpoint(tmp_path)
+        tiny = tmp_path / "tiny_ck"
+        arch = ArchConfig(vocab=6, dim=8, heads=1, ffn=12, classes=6,
+                          seq_len=5)
+        save_checkpoint(build_model(arch, np.random.default_rng(0)), tiny)
+        report = ["storage-report", "--checkpoint", ck, "--mask", mask]
+        argv, path = {
+            "train_config": (["train", "--config", cfg_path,
+                              "--out", str(tmp_path / "out")], cfg_path),
+            "eval_checkpoint": (["eval", "--config", cfg_path,
+                                 "--checkpoint", str(tiny)],
+                                tiny / "manifest.txt"),
+            "storage_checkpoint": (report, Path(ck) / "manifest.txt"),
+            "storage_mask": (report, mask),
+        }[target]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # half the tiny config ends at "learning_rate = 0.0", which the
+        # config rejects, so the run stops before training
+        damage(Path(path), how)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.startswith(("error: ", "config error: "))
+        if how == "non_utf8":
+            assert f"{path}:3: not " in err
 
 
 class TestUsage:

@@ -303,7 +303,7 @@ class TestPipeline:
             assert np.array_equal(t.matrix, b.params.tensor(name).matrix)
 
     def test_uncached_run_trains_one_store(self, monkeypatch):
-        # without a cache no phase's store is kept, so none is cloned
+        # a lone run keeps no phase's store, so it clones none
         seen = []
         for name in ("plain_train", "reweighted_train", "retrain"):
             def recorded(params, *args, original=getattr(trainer, name),
@@ -370,7 +370,7 @@ class TestPipeline:
 
 
 # one change per TrainConfig field, and the first phase it reaches: the
-# phase whose cache key, and every later one's, must change with it
+# phase whose sharing key, and every later one's, must change with it
 FIELD_CHANGES = [
     ("arch", dict(arch=dataclasses.replace(TINY, ffn=16)), "baseline"),
     ("train_samples", dict(train_samples=80), "baseline"),
