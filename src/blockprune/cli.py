@@ -18,8 +18,8 @@ from .model import (LAYOUT, TENSOR_NAMES, ArchConfig, ModelParams, evaluate,
                     load_checkpoint, make_synthetic_dataset)
 from .pruner import load_masks, model_compression_rates, \
     sparsity as mask_sparsity
-from .sparse import (bench_spmm, storage_cost, to_block_structured, to_coo,
-                     whole_block_cost)
+from .sparse import (bench_environment, bench_spmm, storage_cost,
+                     to_block_structured, to_coo, whole_block_cost)
 from .trainer import derive_seeds, run_pipeline
 
 
@@ -222,7 +222,8 @@ def cmd_bench(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "bench.csv")
         save_table(rows, columns, path,
-                   meta={"seed": seed, "reps": args.reps})
+                   meta={"seed": seed, "reps": args.reps,
+                         **bench_environment()})
         print(f"table written to {path}")
     return 0
 

@@ -8,17 +8,25 @@ value slots plus two index slots (its group and block index). Byte-level
 packing is deliberately out of scope.
 
 The block-structured kernel runs one loop over block indices for both
-axes. Per block it takes the retained segments, gathers the output rows
-they touch once (the segments' groups on the row axis, the block's row
-span on the column axis) and adds one rank-1 update per contraction
-index, in ascending order, skipping zeroed segments. Its output is
-therefore bit-identical to `numerics.matmul` of the densified matrix.
-(The one exception is the sign of an exactly-zero output entry, which
-cannot occur with continuous random data.)
+axes. A block's retained segments touch a set of output rows: their
+groups on the row axis, the block's row span on the column axis. The
+kernel splits those rows into tiles of at most TILE_ELEMENTS output
+entries, so that a tile and the scratch holding one rank-1 product fit
+a 2 MiB per-core L2 together, and adds one product per contraction
+index into each tile, in ascending order, skipping zeroed segments. On
+the row axis a tile's rows are gathered from the output and scattered
+back; on the column axis they are a contiguous slice, updated in place.
+Tiling only splits output entries, which do not depend on each other,
+and a product of two doubles is correctly rounded however it is formed,
+so every output entry adds the same rounded products in the same order
+as `numerics.matmul` of the densified matrix, and the two outputs are
+bit-identical. (The one exception is the sign of an exactly-zero output
+entry, which cannot occur with continuous random data.)
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from statistics import median
@@ -29,6 +37,10 @@ from .errors import CheckpointError, MaskError, PartitionError, ShapeError
 from .numerics import ROW, as_matrix, matmul
 from .pruner import PruneMask, prune_percentile, sparsity
 from .regularizer import BlockPartition, make_partition, segments
+
+# output entries in one spmm tile, and in the scratch that holds one
+# rank-1 product over it: 64 Ki float64 = 512 KiB each
+TILE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,38 @@ def to_block_structured(w: np.ndarray, mask: PruneMask) -> BlockStructuredMatrix
     )
 
 
+def _check_block_matrix(m: BlockStructuredMatrix) -> None:
+    """Reject a matrix whose fields disagree with its partition, naming
+    the bad field: O(retained), for hand-built matrices."""
+    part = m.partition
+    if (m.rows, m.cols) != part.matrix_shape:
+        raise ShapeError(f"rows x cols {m.rows}x{m.cols} differ from the "
+                         f"partition's {part.matrix_shape}")
+    ret = np.asarray(m.retained)
+    if ret.ndim != 2 or ret.shape[1] != 2 \
+            or not np.issubdtype(ret.dtype, np.integer):
+        raise ShapeError(f"retained must be an (n, 2) integer array, got "
+                         f"shape {ret.shape} of {ret.dtype}")
+    expect = (ret.shape[0], part.block_width)
+    if np.shape(m.values) != expect:
+        raise ShapeError(f"values has shape {np.shape(m.values)}, expected "
+                         f"{expect}: one block_width row per retained pair")
+    g, b = ret.T
+    for name, idx, limit in (("group", g, part.extent_groups),
+                             ("block", b, part.blocks_per_group)):
+        bad = np.flatnonzero((idx < 0) | (idx >= limit))
+        if bad.size:
+            raise ShapeError(f"retained {name} index {idx[bad[0]]} out of "
+                             f"range for {limit} {name}s")
+    # in range, lexicographic (group, block) order is ascending flat index;
+    # the column axis takes its contraction order from it
+    if np.any(np.diff(g * part.blocks_per_group + b) <= 0):
+        raise ShapeError("retained pairs must be unique and in "
+                         "lexicographic (group, block) order")
+
+
 def densify(m: BlockStructuredMatrix) -> np.ndarray:
+    _check_block_matrix(m)
     out = np.zeros(m.partition.matrix_shape)
     segments(out, m.partition)[m.retained[:, 0], m.retained[:, 1]] = m.values
     return out
@@ -138,27 +181,18 @@ def whole_block_cost(mask: PruneMask) -> StorageReport | None:
 
 def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
     """a (rows, cols) block-sparse x b (cols, n) dense -> (rows, n)."""
+    _check_block_matrix(a)
     b = as_matrix(b)
     if a.cols != b.shape[0]:
         raise ShapeError(
             f"spmm shapes incompatible: {a.rows}x{a.cols} x {b.shape}"
         )
     part = a.partition
-    # the column axis takes its contraction order from the pair order
-    flat = a.retained[:, 0] * part.blocks_per_group + a.retained[:, 1]
-    if np.any(np.diff(flat) <= 0):
-        raise ShapeError("retained pairs must be unique and in "
-                         "lexicographic (group, block) order")
     width = part.block_width
     n = b.shape[1]
     out = np.zeros((a.rows, n))
-    # one scratch product starting on a 64-byte boundary: a fresh
-    # temporary per update lands wherever the allocator puts it, and the
-    # loop runs ~30% slower when that is off a cache line
-    size = max(part.extent_groups, width) * n
-    raw = np.empty(size + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    scratch = raw[start : start + size]
+    tile = max(1, TILE_ELEMENTS // max(n, 1))
+    scratch = np.empty(tile * n)
     for block in range(part.blocks_per_group):
         sel = a.retained[:, 1] == block
         if not sel.any():
@@ -167,20 +201,30 @@ def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
         base = block * width
         if part.axis == ROW:
             # segment (g, block) is row g over contraction indices
-            # base..base+width
-            rows, coef, ks = groups, vals, range(base, base + width)
+            # base..base+width: coef[j] scales b[base + j] into rows groups
+            coef, ks = vals.T, range(base, base + width)
         else:
-            # segment (c, block) is column c over rows base..base+width;
-            # groups ascend because retained pairs are sorted
-            rows, coef, ks = slice(base, base + width), vals.T, groups.tolist()
-        acc = out[rows]
-        prod = scratch[: coef.shape[0] * n].reshape(coef.shape[0], n)
-        # ascending contraction order within the block and across blocks,
-        # the fixed order of numerics.matmul for every output entry
-        for j, k in enumerate(ks):
-            np.multiply(coef[:, j : j + 1], b[k], out=prod)
-            acc += prod
-        out[rows] = acc
+            # segment (c, block) is column c over rows base..base+width:
+            # coef[j] scales b[groups[j]] into those rows; groups ascend
+            # because retained pairs are sorted
+            coef, ks = vals, groups.tolist()
+        for lo in range(0, coef.shape[1], tile):
+            c = coef[:, lo : lo + tile]
+            if part.axis == ROW:
+                rows = groups[lo : lo + tile]
+            else:
+                rows = slice(base + lo, base + lo + c.shape[1])
+            acc = out[rows]  # a gathered copy on the row axis, else a view
+            prod = scratch[: acc.size].reshape(acc.shape)
+            # ascending contraction order within the block and across
+            # blocks, the fixed order of numerics.matmul for every entry;
+            # einsum forms the outer product about twice as fast as a
+            # broadcast multiply
+            for j, k in enumerate(ks):
+                np.einsum("i,j->ij", c[j], b[k], out=prod)
+                acc += prod
+            if part.axis == ROW:
+                out[rows] = acc
     return out
 
 
@@ -210,7 +254,8 @@ def bench_spmm(
 ) -> list[dict]:
     """Median wall-clock per (size, sparsity, format).
 
-    Formats: dense (the fixed-order dense kernel), coo, block_structured.
+    Formats: dense (the fixed-order dense kernel), blas (numpy's `@` on
+    the pruned dense matrix), coo, block_structured.
     Inputs are generated deterministically from the seed; timing values
     are machine-dependent, everything else is reproducible.
     """
@@ -245,6 +290,12 @@ def bench_spmm(
             )
             rows.append(
                 {
+                    "size": n, "sparsity": s, "format": "blas",
+                    "median_seconds": run(np.matmul, pruned, b),
+                }
+            )
+            rows.append(
+                {
                     "size": n, "sparsity": s, "format": "coo",
                     "median_seconds": run(coo_spmm, coo, b),
                 }
@@ -256,6 +307,21 @@ def bench_spmm(
                 }
             )
     return rows
+
+
+def bench_environment() -> dict:
+    """What bench timings depend on beyond the inputs: the numpy and
+    BLAS builds and the number of usable cores."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = "unknown"
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        nproc = os.cpu_count()
+    return {"numpy": np.__version__, "blas": blas, "nproc": nproc}
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,17 @@ class TestBenchCommand:
         assert "format=dense" in text
         assert "format=block_structured" in text
 
+    def test_table_records_environment(self, tmp_path, capsys):
+        code = main(["bench", "--sizes", "16", "--sparsities", "0.5",
+                     "--reps", "3", "--num-blocks", "4",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "bench.csv").read_text().splitlines()
+        meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+        assert meta["numpy"] == np.__version__
+        assert meta["blas"]
+        assert int(meta["nproc"]) >= 1
+
     def test_too_few_reps_exits_2(self, capsys):
         assert main(["bench", "--reps", "2"]) == 2
 

@@ -2,12 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprune.errors import CheckpointError, MaskError, ShapeError
 from blockprune.numerics import COLUMN, ROW, matmul
 from blockprune.pruner import mask_from_zeroed, prune_percentile
 from blockprune.regularizer import make_partition
+from blockprune import sparse
 from blockprune.sparse import (
+    TILE_ELEMENTS,
     bench_spmm,
     coo_spmm,
     densify,
@@ -120,8 +124,9 @@ class TestStorageCost:
 
 class TestSpmm:
     def test_bit_identical_to_dense_kernel(self):
-        """Skipping zero segments must not change the summation order,
-        so the product matches the dense kernel exactly."""
+        """Skipping zero segments and splitting the output into tiles
+        must not change the summation order, so the product matches the
+        dense kernel exactly, whatever b's memory layout."""
         rng = np.random.default_rng(77)
         for axis in (ROW, COLUMN):
             for shape in ((16, 16), (16, 32), (32, 16)):
@@ -137,6 +142,51 @@ class TestSpmm:
             b = rng.normal(size=(32, 8))
             got = spmm(to_block_structured(w, mask), b)
             assert got.tobytes() == matmul(w, b).tobytes()
+        # b wide enough for 8-row tiles: a block's 44 groups (row axis) or
+        # its 22-row span (column axis) crosses tiles, the last partial
+        n = TILE_ELEMENTS // 8
+        for axis in (ROW, COLUMN):
+            cases = [masked_matrix(rng, 44, 44, axis, 2, s) for s in (0.0, 0.5)]
+            # block 0 pruned in every group: no segment to tile
+            p = make_partition(44, 44, axis, 2, "w")
+            mask = mask_from_zeroed(p, [(g, 0) for g in range(p.extent_groups)])
+            cases.append((rng.normal(size=(44, 44)) * mask.bits, mask))
+            for w, mask in cases:
+                b = rng.normal(size=(44, n))
+                want = matmul(w, b).tobytes()
+                m = to_block_structured(w, mask)
+                # b's values in C order, Fortran order, and as a transposed
+                # view with strides in both dimensions
+                strided = np.zeros((n, 88))
+                strided[:, ::2] = b.T
+                for layout in (b, np.asfortranarray(b), strided[:, ::2].T):
+                    assert spmm(m, layout).tobytes() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        axis=st.sampled_from([ROW, COLUMN]),
+        groups=st.integers(1, 6),
+        num_blocks=st.integers(1, 4),
+        width=st.integers(1, 5),
+        n=st.integers(0, 9),
+        s=st.floats(0.0, 0.95),
+        tile_elements=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bit_identical(self, axis, groups, num_blocks, width,
+                                    n, s, tile_elements, seed):
+        """Over random small partitions, and tiles small enough to split
+        them, spmm gives the bytes of the fixed-order dense kernel."""
+        rng = np.random.default_rng(seed)
+        extent = num_blocks * width
+        shape = (groups, extent) if axis == ROW else (extent, groups)
+        w, mask = masked_matrix(rng, *shape, axis, num_blocks, s)
+        m = to_block_structured(w, mask)
+        b = rng.normal(size=(shape[1], n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "TILE_ELEMENTS", tile_elements)
+            got = spmm(m, b)
+        assert got.tobytes() == matmul(densify(m), b).tobytes()
 
     def test_unsorted_pairs_rejected(self):
         rng = np.random.default_rng(84)
@@ -145,6 +195,32 @@ class TestSpmm:
         backwards = replace(m, retained=m.retained[::-1], values=m.values[::-1])
         with pytest.raises(ShapeError, match="order"):
             spmm(backwards, rng.normal(size=(16, 8)))
+
+    @pytest.mark.parametrize("kernel", [spmm, densify], ids=["spmm", "densify"])
+    @pytest.mark.parametrize("axis", [ROW, COLUMN])
+    @pytest.mark.parametrize("field, edit", [
+        ("values", lambda m, p: replace(m, values=m.values[:, :-1])),
+        ("values", lambda m, p: replace(m, values=m.values[:-1])),
+        ("group index", lambda m, p: replace(
+            m, retained=np.vstack([m.retained[:-1],
+                                   [[p.extent_groups, 0]]]))),
+        ("block index", lambda m, p: replace(
+            m, retained=np.vstack([m.retained[:-1],
+                                   [[m.retained[-1, 0], p.blocks_per_group]]]))),
+        ("group index", lambda m, p: replace(
+            m, retained=np.vstack([[[-1, 0]], m.retained[1:]]))),
+        ("rows x cols", lambda m, p: replace(m, rows=m.rows + 1)),
+    ], ids=["narrow_values", "few_values", "group_too_big", "block_too_big",
+            "negative_group", "rows"])
+    def test_malformed_matrix_rejected(self, kernel, axis, field, edit):
+        """A hand-built matrix that disagrees with its partition is a
+        ShapeError naming the field, on both axes, before any work."""
+        rng = np.random.default_rng(86)
+        w, mask = masked_matrix(rng, 16, 16, axis, 4, 0.5)
+        m = edit(to_block_structured(w, mask), mask.partition)
+        args = (m, rng.normal(size=(16, 8))) if kernel is spmm else (m,)
+        with pytest.raises(ShapeError, match=field):
+            kernel(*args)
 
     def test_coo_close_to_dense(self):
         rng = np.random.default_rng(78)
@@ -164,7 +240,7 @@ class TestBench:
     def test_row_structure(self):
         rows = bench_spmm([32], [0.5], repetitions=3, num_blocks=4, seed=1)
         formats = [r["format"] for r in rows]
-        assert formats == ["dense", "coo", "block_structured"]
+        assert formats == ["dense", "blas", "coo", "block_structured"]
         for r in rows:
             assert r["size"] == 32
             assert r["sparsity"] == 0.5
