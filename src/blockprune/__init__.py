@@ -13,9 +13,14 @@ FFN activations of a dim-256, ffn-1024, seq-128 batch of 32) and
 unmaps it at `free`, and trims the heap's top, so each serving-size
 `evaluate` of two such batches page-faulted 13,000-19,500 pages back in
 and spent a fifth to two fifths of its wall clock in the kernel; with
-this policy a repeated `evaluate` takes no faults. The cost is that the
-process's RSS no longer shrinks after a peak. Where the C library has
-no `mallopt` nothing changes.
+this policy a repeated `evaluate` takes no faults. Every thread
+allocates from the one heap: glibc gives other threads arenas of their
+own, and unmaps such an arena's heap once its top is free whatever the
+trim threshold, so a serving-size `evaluate` split over two threads
+took ~1,030 faults on every repeat in most processes with per-thread
+arenas, and 3 once warm with one heap. The cost is that the process's
+RSS no longer shrinks after a peak. Where the C library has no
+`mallopt` nothing changes.
 """
 
 import ctypes
@@ -23,10 +28,11 @@ import ctypes
 # glibc's <malloc.h> parameter numbers
 M_TRIM_THRESHOLD = -1
 M_MMAP_MAX = -4
+M_ARENA_MAX = -8
 
 
 def keep_freed_memory(libc) -> None:
-    """Serve every allocation from the heap and never trim its top.
+    """Serve every allocation from one heap and never trim its top.
 
     `libc` is a loaded C library; one without `mallopt` is left as is.
     """
@@ -37,6 +43,7 @@ def keep_freed_memory(libc) -> None:
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_MAX, 0)
     mallopt(M_TRIM_THRESHOLD, 2**31 - 1)  # the largest value an int holds
+    mallopt(M_ARENA_MAX, 1)
 
 
 try:

@@ -22,11 +22,13 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CheckpointError, DataError, ShapeError, read_lines
+from .numerics import blas_threads, usable_cores
 
 EMBEDDING = "embedding"
 ATTENTION = "attention"
@@ -364,17 +366,69 @@ def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,
     return batches
 
 
+# `evaluate` splits a batch over the cores once its forward costs this
+# many multiply-adds. Split and whole cross over between 5e6 and 1.5e7
+# on two cores; the cut sits above that because a process's first
+# splits can run on one core (table in CHANGES.md)
+PARALLEL_MIN_MACS = 5 * 10**7
+
+
+def _forward_macs(params: ModelParams, batch: Batch) -> int:
+    """Multiply-adds of the matrix products in forward on `batch`."""
+    B, S = batch.token_ids.shape
+    d, f = params.tensor("ffn_in").matrix.shape
+    c = params.tensor("classifier").matrix.shape[1]
+    return B * S * (4 * d * d + 2 * S * d + 2 * d * f) + B * d * c
+
+
+def _slices(params: ModelParams, batch: Batch, cores: int) -> list[Batch]:
+    """`batch` as contiguous slices to forward one per core.
+
+    Every slice holds at least 2 sequences: forward gives such a slice
+    the bits of its rows of the whole batch's logits, but not a slice of
+    one, for which BLAS takes a matrix-vector kernel. A batch cheaper
+    than PARALLEL_MIN_MACS stays whole.
+    """
+    n = min(cores, batch.labels.size // 2)
+    if n < 2 or _forward_macs(params, batch) < PARALLEL_MIN_MACS:
+        return [batch]
+    bounds = batch.labels.size * np.arange(n + 1) // n
+    return [Batch(token_ids=batch.token_ids[lo:hi], labels=batch.labels[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _hits(params: ModelParams, batch: Batch) -> int:
+    # index the result so the activation cache is freed here, not kept
+    # alive while the next batch is forwarded
+    logits = forward(params, batch)[0]
+    return int((logits.argmax(axis=1) == batch.labels).sum())
+
+
 def evaluate(params: ModelParams, dataset: list[Batch]) -> float:
-    """Fraction of argmax(logits) == label; argmax ties -> smallest index."""
+    """Fraction of argmax(logits) == label; argmax ties -> smallest index.
+
+    A large batch is split over the cores that BLAS leaves free, which
+    are all of them when BLAS runs one thread per call: this thread
+    forwards one slice while the threads of a pool that lives for this
+    call forward the others (BLAS and numpy's loops release the GIL).
+    Hits are counted per slice and added, so the result does not depend
+    on the core count.
+    """
     if not dataset or sum(b.labels.size for b in dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
+    # a BLAS that does not say how many threads it runs may already
+    # keep every core busy
+    cores = usable_cores()
+    cores //= blas_threads() or cores
     hits = 0
-    total = 0
-    for batch in dataset:
-        logits, _ = forward(params, batch)
-        hits += int((logits.argmax(axis=1) == batch.labels).sum())
-        total += batch.labels.size
-    return hits / total
+    # threads start on the first submit, so a dataset of small batches
+    # starts none, and none outlives the call
+    with ThreadPoolExecutor(max(1, cores - 1)) as pool:
+        for batch in dataset:
+            first, *rest = _slices(params, batch, cores)
+            others = [pool.submit(_hits, params, s) for s in rest]
+            hits += _hits(params, first) + sum(f.result() for f in others)
+    return hits / sum(b.labels.size for b in dataset)
 
 
 # ---------------------------------------------------------------------------

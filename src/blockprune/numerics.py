@@ -1,5 +1,6 @@
-"""Dense matrix arithmetic, seeded randomness, and the finite-difference
-gradient oracle.
+"""Dense matrix arithmetic, seeded randomness, the finite-difference
+gradient oracle, and the core and BLAS thread counts that parallel
+code sizes itself by.
 
 Matrices are plain 2-D float64 numpy arrays throughout the package.
 Everything here runs in 64-bit; precision is cheap at this scale and it
@@ -19,6 +20,9 @@ stream is not promised. One root seed covers init, data, and evaluation:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from typing import Callable
 
 import numpy as np
@@ -31,6 +35,47 @@ COLUMN = "column"
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, or the
+    machine's core count where the platform has no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's BLAS splits one call over, where it is an OpenBLAS
+    that says; None for any other BLAS."""
+    get = _openblas_get_num_threads()
+    return None if get is None else get()
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's thread-count getter in the library numpy loaded, found
+    through this process's memory map, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:  # no /proc: not Linux
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # a deleted or unloadable file
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(handle, name, None)
+            if get is not None:
+                get.argtypes = ()
+                get.restype = ctypes.c_int
+                return get
+    return None
 
 
 def as_matrix(a) -> np.ndarray:

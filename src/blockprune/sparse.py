@@ -26,7 +26,6 @@ entry, which cannot occur with continuous random data.)
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from statistics import median
@@ -34,7 +33,7 @@ from statistics import median
 import numpy as np
 
 from .errors import CheckpointError, MaskError, PartitionError, ShapeError
-from .numerics import ROW, as_matrix, matmul
+from .numerics import ROW, as_matrix, matmul, usable_cores
 from .pruner import PruneMask, prune_percentile, sparsity
 from .regularizer import BlockPartition, make_partition, segments
 
@@ -317,11 +316,7 @@ def bench_environment() -> dict:
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         blas = "unknown"
-    try:
-        nproc = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        nproc = os.cpu_count()
-    return {"numpy": np.__version__, "blas": blas, "nproc": nproc}
+    return {"numpy": np.__version__, "blas": blas, "nproc": usable_cores()}
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ def test_policy_turns_off_mmap_and_trimming():
     libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
     blockprune.keep_freed_memory(libc)
     assert calls == [(blockprune.M_MMAP_MAX, 0),
-                     (blockprune.M_TRIM_THRESHOLD, 2**31 - 1)]
+                     (blockprune.M_TRIM_THRESHOLD, 2**31 - 1),
+                     (blockprune.M_ARENA_MAX, 1)]
     assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
 
 

@@ -1,9 +1,10 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blockprune import trainer
+from blockprune import model, trainer
 from blockprune.errors import ConfigError
 from blockprune.experiments import (
     SweepSpec,
@@ -14,7 +15,8 @@ from blockprune.experiments import (
     steps_per_epoch,
     sweep,
 )
-from blockprune.model import ArchConfig
+from blockprune.model import (ArchConfig, build_model, evaluate,
+                              make_synthetic_dataset)
 from blockprune.numerics import ROW
 from blockprune.pruner import PruneEntry, PruneSpec
 from blockprune.trainer import TrainConfig, run_pipeline
@@ -210,6 +212,20 @@ class TestPhaseCache:
         for a, b in zip(rows, serial):
             assert (a["value"], a["accuracy"], a["compression"]) == (
                 b["value"], b["accuracy"], b["compression"])
+
+    def test_workers_fork_after_a_split_evaluate(self, monkeypatch):
+        # every batch of 2 or more sequences is split over two threads,
+        # here and, through the fork, in the workers
+        monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
+        monkeypatch.setattr(model, "usable_cores", lambda: 2)
+        monkeypatch.setattr(model, "blas_threads", lambda: 1)
+        before = threading.active_count()
+        evaluate(build_model(TINY, np.random.default_rng(0)),
+                 make_synthetic_dataset(1, 32, TINY.seq_len, TINY.vocab, 16))
+        assert threading.active_count() == before
+        configs = [tiny_config(), tiny_config(seed=6)]
+        for cfg, got in zip(configs, run_cells(configs, 2)):
+            same_run(got, run_pipeline(cfg))
 
     def test_scan_shares_baselines_by_override(self, phase_calls):
         sensitivity_scan(tiny_config(), 0.5, workers=2)

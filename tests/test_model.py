@@ -1,8 +1,10 @@
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from blockprune import model
 from blockprune.errors import CheckpointError, DataError, ShapeError
 from blockprune.model import (
     ArchConfig,
@@ -245,6 +247,100 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             evaluate(tiny_model(), [])
+
+
+SMALL = ArchConfig(vocab=8, dim=16, heads=1, ffn=32, classes=8, seq_len=16)
+
+
+@pytest.fixture
+def split_over(monkeypatch):
+    """`split_over(cores, blas=1)` makes `evaluate` split every batch
+    of 2 or more sequences as it would on `cores` cores with BLAS on
+    `blas` threads; the forward calls it makes are logged by batch
+    size."""
+    sizes = []
+
+    def logged(params, batch, original=model.forward):
+        sizes.append(batch.labels.size)
+        return original(params, batch)
+
+    monkeypatch.setattr(model, "forward", logged)
+    monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
+
+    def split(cores, blas=1):
+        monkeypatch.setattr(model, "usable_cores", lambda: cores)
+        monkeypatch.setattr(model, "blas_threads", lambda: blas)
+        sizes.clear()
+        return sizes
+
+    return split
+
+
+class TestParallelEvaluate:
+    def test_threaded_accuracy_equals_serial(self, split_over):
+        params = build_model(SMALL, np.random.default_rng(3))
+        data = make_synthetic_dataset(4, 200, SMALL.seq_len, SMALL.vocab)
+        split_over(1)
+        serial = evaluate(params, data)
+        for cores in (2, 3, 4, 16):
+            sizes = split_over(cores)
+            assert evaluate(params, data) == serial
+            # six batches of 32 and one of 8, each cut into `cores` slices
+            assert len(sizes) == 6 * cores + min(cores, 4)
+            assert sum(sizes) == 200
+
+    @pytest.mark.parametrize("arch", [
+        SMALL, ArchConfig(vocab=8, dim=64, heads=1, ffn=128, classes=8,
+                          seq_len=32)])
+    @pytest.mark.parametrize("n", [2, 3, 32, 33])
+    def test_slice_logits_bit_identical_to_whole_batch(self, arch, n,
+                                                       monkeypatch):
+        monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
+        params = build_model(arch, np.random.default_rng(5))
+        batch = make_synthetic_dataset(6, n, arch.seq_len, arch.vocab, n)[0]
+        whole = forward(params, batch)[0]
+        for cores in (2, 3, 4, 16):
+            slices = model._slices(params, batch, cores)
+            assert len(slices) == max(1, min(cores, n // 2))
+            assert all(s.labels.size >= 2 for s in slices)
+            assert np.array_equal(
+                np.concatenate([s.token_ids for s in slices]),
+                batch.token_ids)
+            logits = np.concatenate([forward(params, s)[0] for s in slices])
+            assert logits.tobytes() == whole.tobytes()
+
+    def test_one_sequence_batches_stay_whole(self, split_over):
+        params = build_model(SMALL, np.random.default_rng(3))
+        # a last batch of 1, then a dataset of one 1-sequence batch
+        data = make_synthetic_dataset(4, 33, SMALL.seq_len, SMALL.vocab)
+        split_over(1)
+        serial = [evaluate(params, data), evaluate(params, data[1:])]
+        sizes = split_over(2)
+        assert [evaluate(params, data), evaluate(params, data[1:])] == serial
+        assert sizes == [16, 16, 1, 1]
+
+    @pytest.mark.parametrize("blas", [2, None])
+    def test_busy_or_unknown_blas_keeps_batches_whole(self, split_over,
+                                                      blas):
+        params = build_model(SMALL, np.random.default_rng(3))
+        data = make_synthetic_dataset(4, 64, SMALL.seq_len, SMALL.vocab)
+        sizes = split_over(2, blas)
+        evaluate(params, data)
+        assert sizes == [32, 32]
+
+    def test_no_thread_outlives_the_call(self, split_over):
+        params = build_model(SMALL, np.random.default_rng(3))
+        data = make_synthetic_dataset(4, 64, SMALL.seq_len, SMALL.vocab)
+        before = threading.active_count()
+        split_over(4)
+        evaluate(params, data)
+        assert threading.active_count() == before
+        # a slice that fails still fails the call, and leaves no thread
+        toks = data[1].token_ids.copy()
+        toks[-1, 0] = SMALL.vocab
+        with pytest.raises(DataError, match="out of range"):
+            evaluate(params, [data[0], Batch(toks, data[1].labels)])
+        assert threading.active_count() == before
 
 
 def assert_views_of_flat(params):

@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import blockprune
 from blockprune.errors import NonFiniteError, ShapeError
 from blockprune.numerics import (
     COLUMN,
     ROW,
     as_matrix,
+    blas_threads,
     finite_diff_gradient,
     make_rng,
     matmul,
     segment_l2_norm,
+    usable_cores,
 )
 
 
@@ -117,3 +124,34 @@ class TestRngs:
         a = make_rng(123).normal(size=8)
         b = make_rng(123).normal(size=8)
         assert np.array_equal(a, b)
+
+
+class TestCores:
+    def test_usable_cores_follow_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        assert usable_cores() == len(os.sched_getaffinity(0))
+
+    def test_usable_cores_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
+
+    def test_blas_threads_as_the_loaded_openblas_reports(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas["name"]:
+            pytest.skip(f"numpy uses {blas['name']}, not OpenBLAS")
+        # a fresh process: OpenBLAS reads the variable when it is loaded
+        src = os.path.dirname(os.path.dirname(blockprune.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from blockprune.numerics import blas_threads; "
+             "print(blas_threads())"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["1"]
+        assert blas_threads() >= 1
