@@ -63,7 +63,7 @@ from .errors import (
 )
 from .model import (
     ArchConfig,
-    Batch,
+    Dataset,
     ModelParams,
     WeightTensor,
     build_model,
@@ -120,7 +120,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchConfig",
-    "Batch",
     "BlockPartition",
     "BlockStructuredMatrix",
     "BlockpruneError",
@@ -128,6 +127,7 @@ __all__ = [
     "ConfigError",
     "CooMatrix",
     "DataError",
+    "Dataset",
     "GammaWeights",
     "MaskError",
     "ModelParams",

@@ -15,12 +15,12 @@ from .config import Settings, parse_config, resolve_settings
 from .errors import BlockpruneError, ConfigError, MaskError
 from .experiments import save_table, sensitivity_scan, sweep
 from .model import (LAYOUT, TENSOR_NAMES, ArchConfig, ModelParams, evaluate,
-                    load_checkpoint, make_synthetic_dataset)
+                    load_checkpoint)
 from .pruner import load_masks, model_compression_rates, \
     sparsity as mask_sparsity
 from .sparse import (bench_environment, bench_spmm, storage_cost,
                      to_block_structured, to_coo, whole_block_cost)
-from .trainer import derive_seeds, run_pipeline
+from .trainer import run_datasets, run_pipeline
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -258,12 +258,8 @@ def cmd_eval(args) -> int:
     cfg = settings.train
     params = load_checkpoint(args.checkpoint)
     _check_arch(params, cfg.arch, args.checkpoint)
-    eval_seed = derive_seeds(cfg.seed, 3)[2]
-    dataset = make_synthetic_dataset(
-        eval_seed, cfg.eval_samples, cfg.arch.seq_len, cfg.arch.vocab,
-        cfg.batch_size,
-    )
-    print(f"accuracy={evaluate(params, dataset)!r}")
+    _, eval_ds = run_datasets(cfg)
+    print(f"accuracy={evaluate(params, eval_ds)!r}")
     return 0
 
 

@@ -143,25 +143,47 @@ class ModelParams:
         return out
 
 
-@dataclass
-class Batch:
-    token_ids: np.ndarray  # (batch, seq_len) ints
-    labels: np.ndarray  # (batch,) ints
+@dataclass(eq=False)
+class Dataset:
+    """Token sequences and their labels, cut into batches by row range.
+
+    Checked once, when built. Batch k is rows [k * batch_size,
+    min((k + 1) * batch_size, N)), so only the last batch may be short.
+    `len` counts the batches, and iterating yields them in order, each
+    a Dataset of views into these arrays. A dataset pickles as its two
+    arrays and its batch size.
+    """
+
+    token_ids: np.ndarray  # (N, seq_len) ints
+    labels: np.ndarray  # (N,) ints
+    batch_size: int
 
     def __post_init__(self):
         self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.token_ids.ndim != 2 or self.labels.ndim != 1:
             raise DataError(
-                f"batch shapes invalid: tokens {self.token_ids.shape}, "
+                f"dataset shapes invalid: tokens {self.token_ids.shape}, "
                 f"labels {self.labels.shape}"
             )
         if self.token_ids.shape[0] != self.labels.shape[0]:
             raise DataError("token and label counts differ")
-        if self.token_ids.size and self.token_ids.min() < 0:
+        if self.token_ids.size == 0:
+            raise DataError(f"empty dataset: tokens {self.token_ids.shape}")
+        if self.token_ids.min() < 0:
             raise DataError("negative token id")
-        if self.labels.size and self.labels.min() < 0:
+        if self.labels.min() < 0:
             raise DataError("negative label")
+        if self.batch_size < 1:
+            raise DataError(f"batch_size {self.batch_size} is below 1")
+
+    def __len__(self) -> int:
+        return -(-self.labels.size // self.batch_size)
+
+    def __iter__(self):
+        b = self.batch_size
+        for lo in range(0, self.labels.size, b):
+            yield Dataset(self.token_ids[lo:lo + b], self.labels[lo:lo + b], b)
 
 
 @dataclass
@@ -216,14 +238,13 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
-    """batch (B, S) token ids -> logits (B, classes) plus cache."""
+def forward(params: ModelParams,
+            token_ids: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """(B, S) token ids -> logits (B, classes) plus cache."""
     E = params.tensor("embedding").matrix
-    toks = batch.token_ids
-    if toks.size and toks.max() >= E.shape[0]:
-        raise DataError(
-            f"token id {int(toks.max())} out of range for vocab {E.shape[0]}"
-        )
+    toks = np.asarray(token_ids, dtype=np.int64)
+    if toks.size and not 0 <= toks.min() <= toks.max() < E.shape[0]:
+        raise DataError(f"token id out of range for vocab {E.shape[0]}")
     d = E.shape[1]
     Wq = params.tensor("Wq").matrix
     Wk = params.tensor("Wk").matrix
@@ -335,19 +356,20 @@ def _embedding_grad(toks: np.ndarray, dX: np.ndarray, out: np.ndarray) -> None:
     ).reshape(vocab, d)
 
 
-def loss_and_gradients(params: ModelParams, batch: Batch,
+def loss_and_gradients(params: ModelParams, token_ids: np.ndarray,
+                       labels: np.ndarray,
                        grads: ModelParams) -> tuple[float, ModelParams]:
-    logits, cache = forward(params, batch)
-    value = loss(logits, batch.labels)
-    return value, backward(params, cache, batch.labels, grads)
+    logits, cache = forward(params, token_ids)
+    value = loss(logits, labels)
+    return value, backward(params, cache, labels, grads)
 
 
 def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,
-                           vocab: int, batch_size: int = 32) -> list[Batch]:
+                           vocab: int, batch_size: int = 32) -> Dataset:
     """Uniform random token sequences labeled by their modal token id.
 
-    Ties go to the smallest id. Deterministic per seed; returned as
-    consecutive batches of batch_size (last one may be short).
+    Ties go to the smallest id. Deterministic per seed; returned as one
+    Dataset cut into batches of batch_size (the last may be short).
     """
     if vocab < 2:
         raise DataError(f"vocab must be >= 2, got {vocab}")
@@ -359,11 +381,7 @@ def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,
     for c in range(vocab):
         counts[:, c] = (toks == c).sum(axis=1)
     labels = counts.argmax(axis=1)  # argmax takes the first max: smallest id
-    batches = []
-    for lo in range(0, n_samples, batch_size):
-        hi = min(lo + batch_size, n_samples)
-        batches.append(Batch(token_ids=toks[lo:hi], labels=labels[lo:hi]))
-    return batches
+    return Dataset(toks, labels, batch_size)
 
 
 # `evaluate` splits a batch over the cores once its forward costs this
@@ -373,38 +391,40 @@ def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,
 PARALLEL_MIN_MACS = 5 * 10**7
 
 
-def _forward_macs(params: ModelParams, batch: Batch) -> int:
-    """Multiply-adds of the matrix products in forward on `batch`."""
-    B, S = batch.token_ids.shape
+def _forward_macs(params: ModelParams, token_ids: np.ndarray) -> int:
+    """Multiply-adds of the matrix products in forward on `token_ids`."""
+    B, S = token_ids.shape
     d, f = params.tensor("ffn_in").matrix.shape
     c = params.tensor("classifier").matrix.shape[1]
     return B * S * (4 * d * d + 2 * S * d + 2 * d * f) + B * d * c
 
 
-def _slices(params: ModelParams, batch: Batch, cores: int) -> list[Batch]:
-    """`batch` as contiguous slices to forward one per core.
+def _slices(params: ModelParams, token_ids: np.ndarray,
+            cores: int) -> list[tuple[int, int]]:
+    """Row bounds (lo, hi) that cut a batch into contiguous slices to
+    forward one per core.
 
     Every slice holds at least 2 sequences: forward gives such a slice
     the bits of its rows of the whole batch's logits, but not a slice of
     one, for which BLAS takes a matrix-vector kernel. A batch cheaper
     than PARALLEL_MIN_MACS stays whole.
     """
-    n = min(cores, batch.labels.size // 2)
-    if n < 2 or _forward_macs(params, batch) < PARALLEL_MIN_MACS:
-        return [batch]
-    bounds = batch.labels.size * np.arange(n + 1) // n
-    return [Batch(token_ids=batch.token_ids[lo:hi], labels=batch.labels[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rows = len(token_ids)
+    n = min(cores, rows // 2)
+    if n < 2 or _forward_macs(params, token_ids) < PARALLEL_MIN_MACS:
+        n = 1
+    return [(rows * k // n, rows * (k + 1) // n) for k in range(n)]
 
 
-def _hits(params: ModelParams, batch: Batch) -> int:
+def _hits(params: ModelParams, token_ids: np.ndarray,
+          labels: np.ndarray) -> int:
     # index the result so the activation cache is freed here, not kept
     # alive while the next batch is forwarded
-    logits = forward(params, batch)[0]
-    return int((logits.argmax(axis=1) == batch.labels).sum())
+    logits = forward(params, token_ids)[0]
+    return int((logits.argmax(axis=1) == labels).sum())
 
 
-def evaluate(params: ModelParams, dataset: list[Batch]) -> float:
+def evaluate(params: ModelParams, dataset: Dataset) -> float:
     """Fraction of argmax(logits) == label; argmax ties -> smallest index.
 
     A large batch is split over the cores that BLAS leaves free, which
@@ -414,21 +434,23 @@ def evaluate(params: ModelParams, dataset: list[Batch]) -> float:
     Hits are counted per slice and added, so the result does not depend
     on the core count.
     """
-    if not dataset or sum(b.labels.size for b in dataset) == 0:
-        raise DataError("cannot evaluate on an empty dataset")
     # a BLAS that does not say how many threads it runs may already
     # keep every core busy
     cores = usable_cores()
     cores //= blas_threads() or cores
+    b = dataset.batch_size
     hits = 0
     # threads start on the first submit, so a dataset of small batches
     # starts none, and none outlives the call
     with ThreadPoolExecutor(max(1, cores - 1)) as pool:
-        for batch in dataset:
-            first, *rest = _slices(params, batch, cores)
-            others = [pool.submit(_hits, params, s) for s in rest]
-            hits += _hits(params, first) + sum(f.result() for f in others)
-    return hits / sum(b.labels.size for b in dataset)
+        for lo in range(0, dataset.labels.size, b):
+            toks = dataset.token_ids[lo:lo + b]
+            labels = dataset.labels[lo:lo + b]
+            first, *rest = [(toks[i:j], labels[i:j])
+                            for i, j in _slices(params, toks, cores)]
+            others = [pool.submit(_hits, params, *s) for s in rest]
+            hits += _hits(params, *first) + sum(f.result() for f in others)
+    return hits / dataset.labels.size
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +536,10 @@ def load_checkpoint(in_dir: str) -> ModelParams:
             )
         if role not in ROLES:
             raise CheckpointError(f"{manifest}:{lineno}: unknown role {role!r}")
+        for file in (data_file, bias_file):
+            if os.path.basename(file) != file or file in (".", ".."):
+                raise CheckpointError(f"{manifest}:{lineno}: {file!r} is "
+                                      f"not a file in {in_dir}")
         matrix = _read_f64(
             os.path.join(in_dir, data_file), rows * cols
         ).reshape(rows, cols)

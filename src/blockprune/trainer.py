@@ -40,7 +40,7 @@ import numpy as np
 from .errors import BlockpruneError, MaskError, NonFiniteError, ShapeError
 from .model import (
     ArchConfig,
-    Batch,
+    Dataset,
     ModelParams,
     build_model,
     evaluate,
@@ -215,31 +215,30 @@ def _check_finite(value: float, params: ModelParams, step: int) -> None:
     raise NonFiniteError(f"non-finite loss at step {step}")
 
 
-def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
-           hyper: dict, eval_dataset: list[Batch] | None, eval_every: int,
+def _train(params: ModelParams, dataset: Dataset, steps: int, phase: str,
+           hyper: dict, eval_dataset: Dataset | None, eval_every: int,
            parts: dict[str, BlockPartition] | None = None,
            milestones: frozenset[int] = frozenset(),
            zero_idx: np.ndarray | None = None,
            ) -> tuple[RunReport, list[dict[str, GammaWeights]]]:
     """The Adam loop behind every phase; returns the report and gamma history.
 
-    `hyper` goes into the report and sets the run: learning_rate,
-    batch_size (None: the dataset's) and, for the penalised phase,
-    lambda_max and lambda_warmup_steps (else lambda is 0). Each step
-    refreshes gamma at a milestone, adds the penalty and its gradient
-    over `parts` (one `penalty` call per layer) once lambda is positive,
-    takes one Adam step, zeroes the flat positions `zero_idx`, and
-    evaluates every `eval_every` steps and at the last.
+    `hyper` goes into the report, with the dataset's batch size, and
+    sets the run: learning_rate and, for the penalised phase, lambda_max
+    and lambda_warmup_steps (else lambda is 0). Step s trains on batch
+    (s - 1) mod len(dataset): it refreshes gamma at a milestone, adds
+    the penalty and its gradient over `parts` (one `penalty` call per
+    layer) once lambda is positive, takes one Adam step, zeroes the flat
+    positions `zero_idx`, and evaluates every `eval_every` steps and at
+    the last.
     """
-    if not dataset:
-        raise ShapeError("dataset is empty")
     started = time.perf_counter()
     report = RunReport(phase=phase, hyper={
         **hyper,
         "beta1": ADAM_BETA1,
         "beta2": ADAM_BETA2,
         "eps_adam": ADAM_EPS,
-        "batch_size": hyper["batch_size"] or dataset[0].labels.size,
+        "batch_size": dataset.batch_size,
     })
     parts = parts or {}
     gammas = {
@@ -251,6 +250,8 @@ def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
     warmup = hyper.get("lambda_warmup_steps", 1)
     state = make_adam(params, hyper["learning_rate"])
     grads = params.zeros_like()  # overwritten by every step's backward
+    toks, labels, b = dataset.token_ids, dataset.labels, dataset.batch_size
+    batches = len(dataset)
     for s in range(1, steps + 1):
         if s in milestones:
             gammas = {
@@ -261,8 +262,9 @@ def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
             }
             history.append(dict(gammas))
         lam = lambda_max * min(1.0, s / warmup)
+        lo = (s - 1) % batches * b
         pred, grads = loss_and_gradients(
-            params, dataset[(s - 1) % len(dataset)], grads
+            params, toks[lo:lo + b], labels[lo:lo + b], grads
         )
         pen = 0.0
         if lam > 0.0:
@@ -288,22 +290,20 @@ def _train(params: ModelParams, dataset: list[Batch], steps: int, phase: str,
     return report, history
 
 
-def plain_train(params: ModelParams, dataset: list[Batch], steps: int,
-                learning_rate: float, batch_size: int | None = None,
-                eval_dataset: list[Batch] | None = None,
+def plain_train(params: ModelParams, dataset: Dataset, steps: int,
+                learning_rate: float, eval_dataset: Dataset | None = None,
                 eval_every: int = 0) -> RunReport:
     """Reference Adam loop on the prediction loss alone."""
     report, _ = _train(
-        params, dataset, steps, "plain",
-        {"learning_rate": learning_rate, "batch_size": batch_size},
+        params, dataset, steps, "plain", {"learning_rate": learning_rate},
         eval_dataset, eval_every,
     )
     return report
 
 
 def reweighted_train(
-    params: ModelParams, dataset: list[Batch], config: TrainConfig,
-    eval_dataset: list[Batch] | None = None,
+    params: ModelParams, dataset: Dataset, config: TrainConfig,
+    eval_dataset: Dataset | None = None,
 ) -> tuple[ModelParams, list[dict[str, GammaWeights]], RunReport]:
     """Mixed-loss training: prediction loss plus the reweighted penalty.
 
@@ -327,7 +327,6 @@ def reweighted_train(
         params, dataset, config.t1, "reweighted",
         {
             "learning_rate": config.rw_learning_rate,
-            "batch_size": config.batch_size,
             "lambda_max": config.lambda_max,
             "lambda_warmup_steps": config.lambda_warmup_steps,
         },
@@ -338,8 +337,8 @@ def reweighted_train(
 
 
 def retrain(params: ModelParams, masks: dict[str, PruneMask],
-            dataset: list[Batch], config: TrainConfig,
-            eval_dataset: list[Batch] | None = None) -> tuple[ModelParams, RunReport]:
+            dataset: Dataset, config: TrainConfig,
+            eval_dataset: Dataset | None = None) -> tuple[ModelParams, RunReport]:
     """Masked fine-tuning: after every Adam step, pruned entries <- +0.0.
 
     Gradients are computed on the full matrices; zeroing after the step
@@ -368,9 +367,8 @@ def retrain(params: ModelParams, masks: dict[str, PruneMask],
     params.flat[zero_idx] = 0.0
     report, _ = _train(
         params, dataset, config.t2, "retrain",
-        {"learning_rate": config.learning_rate,
-         "batch_size": config.batch_size},
-        eval_dataset, config.eval_every, zero_idx=zero_idx,
+        {"learning_rate": config.learning_rate}, eval_dataset,
+        config.eval_every, zero_idx=zero_idx,
     )
     all_total = sum(mask.bits.size for mask in masks.values())
     report.masked_sparsity = zero_idx.size / all_total if all_total else 0.0
@@ -431,12 +429,24 @@ def phase_keys(config: TrainConfig) -> tuple[tuple, tuple]:
 
 
 def _end_accuracy(params: ModelParams, report: RunReport, steps: int,
-                  eval_ds: list[Batch]) -> float:
+                  eval_ds: Dataset) -> float:
     """Accuracy after a phase: the loop's own evaluation at its last
     step when it made one, else a fresh one."""
     if report.accuracy_at and report.accuracy_at[-1][0] == steps:
         return report.accuracy_at[-1][1]
     return evaluate(params, eval_ds)
+
+
+def run_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
+    """A run's training and evaluation sets, from its seed."""
+    _, train_seed, eval_seed = derive_seeds(config.seed, 3)
+    seq_len, vocab = config.arch.seq_len, config.arch.vocab
+    return (
+        make_synthetic_dataset(train_seed, config.train_samples, seq_len,
+                               vocab, config.batch_size),
+        make_synthetic_dataset(eval_seed, config.eval_samples, seq_len,
+                               vocab, config.batch_size),
+    )
 
 
 def baseline_phase(config: TrainConfig):
@@ -445,24 +455,16 @@ def baseline_phase(config: TrainConfig):
 
     Returns (params, report, accuracy, train_ds, eval_ds).
     """
-    init_seed, train_seed, eval_seed = derive_seeds(config.seed, 3)
+    init_seed = derive_seeds(config.seed, 3)[0]
     params = build_model(
         config.arch, make_rng(init_seed),
         prunable_overrides=config.prunable_overrides,
     )
-    train_ds = make_synthetic_dataset(
-        train_seed, config.train_samples, config.arch.seq_len,
-        config.arch.vocab, config.batch_size,
-    )
-    eval_ds = make_synthetic_dataset(
-        eval_seed, config.eval_samples, config.arch.seq_len,
-        config.arch.vocab, config.batch_size,
-    )
+    train_ds, eval_ds = run_datasets(config)
     with _phase("baseline"):
         report = plain_train(
             params, train_ds, config.baseline_steps, config.learning_rate,
-            batch_size=config.batch_size, eval_dataset=eval_ds,
-            eval_every=config.eval_every,
+            eval_dataset=eval_ds, eval_every=config.eval_every,
         )
         accuracy = _end_accuracy(params, report, config.baseline_steps,
                                  eval_ds)
@@ -470,14 +472,14 @@ def baseline_phase(config: TrainConfig):
 
 
 def reweighted_phase(config: TrainConfig, params: ModelParams,
-                     train_ds: list[Batch], eval_ds: list[Batch]):
+                     train_ds: Dataset, eval_ds: Dataset):
     """Phase two on `params`, in place: (params, gamma_history, report)."""
     with _phase("reweighted"):
         return reweighted_train(params, train_ds, config, eval_dataset=eval_ds)
 
 
 def pipeline_tail(config: TrainConfig, params: ModelParams,
-                  train_ds: list[Batch], eval_ds: list[Batch],
+                  train_ds: Dataset, eval_ds: Dataset,
                   say=lambda msg: None) -> tuple[dict, RunReport]:
     """Prune `params`, the reweighted phase's store or a clone of it, in
     place and retrain it.

@@ -212,8 +212,8 @@ def test_analytic_gradients_match_central_differences():
             params = build_model(arch, make_rng(seed))
             batch = make_synthetic_dataset(
                 seed + 500, 8, arch.seq_len, arch.vocab, batch_size=8
-            )[0]
-            logits, cache = forward(params, batch)
+            )
+            logits, cache = forward(params, batch.token_ids)
             if np.abs(cache.U).min() < 1e-3:
                 # margin to the relu kink must dominate the probe step
                 continue
@@ -226,7 +226,7 @@ def test_analytic_gradients_match_central_differences():
 
                 def through(x, live=live, keep=keep):
                     np.copyto(live, x)
-                    lg, _ = forward(params, batch)
+                    lg, _ = forward(params, batch.token_ids)
                     value = loss(lg, batch.labels)
                     np.copyto(live, keep)
                     return value

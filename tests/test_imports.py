@@ -1,10 +1,14 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and the
+package exports exactly the names its `__init__.py` re-exports.
 
-`__init__.py` is skipped: it imports names only to re-export them.
+`__init__.py` is skipped by the unused-import check: it imports names
+only to re-export them.
 """
 
 import ast
 from pathlib import Path
+
+import blockprune
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -41,3 +45,16 @@ def test_no_unused_imports():
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
              for p in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_public_surface_is_what_init_imports():
+    # the names __init__.py binds from its own modules; a name dropped
+    # from a module and from these imports cannot linger in __all__
+    tree = ast.parse((ROOT / "src" / "blockprune" / "__init__.py").read_text())
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names}
+    assert len(blockprune.__all__) == len(set(blockprune.__all__))
+    assert set(blockprune.__all__) == bound | {"__version__"}
+    for name in blockprune.__all__:
+        assert getattr(blockprune, name) is not None, name

@@ -8,7 +8,7 @@ from blockprune import model
 from blockprune.errors import CheckpointError, DataError, ShapeError
 from blockprune.model import (
     ArchConfig,
-    Batch,
+    Dataset,
     _embedding_grad,
     build_model,
     evaluate,
@@ -32,7 +32,7 @@ def tiny_batch(seed=1, n=3):
     rng = np.random.default_rng(seed)
     toks = rng.integers(0, TINY.vocab, size=(n, TINY.seq_len))
     labels = rng.integers(0, TINY.classes, size=n)
-    return Batch(token_ids=toks, labels=labels)
+    return Dataset(toks, labels, n)
 
 
 class TestBuild:
@@ -83,7 +83,7 @@ class TestBuild:
 
 class TestForward:
     def test_logits_shape(self):
-        logits, cache = forward(tiny_model(), tiny_batch())
+        logits, cache = forward(tiny_model(), tiny_batch().token_ids)
         assert logits.shape == (3, 4)
         assert cache.P.shape == (3, 8)
 
@@ -91,23 +91,23 @@ class TestForward:
         """Each sample's logits must not depend on its batch mates."""
         params = tiny_model()
         batch = tiny_batch(n=4)
-        full, _ = forward(params, batch)
+        full, _ = forward(params, batch.token_ids)
         for i in range(4):
-            single = Batch(token_ids=batch.token_ids[i:i + 1],
-                           labels=batch.labels[i:i + 1])
-            row, _ = forward(params, single)
+            row, _ = forward(params, batch.token_ids[i:i + 1])
             np.testing.assert_allclose(row[0], full[i], rtol=1e-12, atol=1e-14)
 
     def test_token_out_of_range(self):
         params = tiny_model()
         toks = np.full((1, TINY.seq_len), TINY.vocab)
         with pytest.raises(DataError, match="token"):
-            forward(params, Batch(token_ids=toks, labels=np.zeros(1)))
+            forward(params, toks)
+        with pytest.raises(DataError, match="token"):
+            forward(params, -toks)
 
     def test_deterministic(self):
         params = tiny_model()
-        a, _ = forward(params, tiny_batch())
-        b, _ = forward(params, tiny_batch())
+        a, _ = forward(params, tiny_batch().token_ids)
+        b, _ = forward(params, tiny_batch().token_ids)
         assert np.array_equal(a, b)
 
 
@@ -135,7 +135,8 @@ class TestBackward:
     def test_matches_finite_differences(self):
         params = tiny_model(seed=3)
         batch = tiny_batch(seed=4, n=4)
-        _, grads = loss_and_gradients(params, batch, params.zeros_like())
+        _, grads = loss_and_gradients(params, batch.token_ids, batch.labels,
+                                      params.zeros_like())
 
         def through(buffer):
             """Loss as a function of one parameter buffer, evaluated by
@@ -143,7 +144,7 @@ class TestBackward:
             def f(x):
                 saved = buffer.copy()
                 np.copyto(buffer, x)
-                logits, _ = forward(params, batch)
+                logits, _ = forward(params, batch.token_ids)
                 value = loss(logits, batch.labels)
                 np.copyto(buffer, saved)
                 return value
@@ -159,7 +160,8 @@ class TestBackward:
 
     def test_gradients_share_the_parameter_layout(self):
         params = tiny_model(seed=3)
-        _, grads = loss_and_gradients(params, tiny_batch(seed=4, n=4),
+        batch = tiny_batch(seed=4, n=4)
+        _, grads = loss_and_gradients(params, batch.token_ids, batch.labels,
                                       params.zeros_like())
         assert grads.names() == params.names()
         assert grads.flat.shape == params.flat.shape
@@ -173,10 +175,12 @@ class TestBackward:
         # gives the same bytes as a fresh one
         params = tiny_model(seed=3)
         batch = tiny_batch(seed=4, n=4)
-        _, fresh = loss_and_gradients(params, batch, params.zeros_like())
+        _, fresh = loss_and_gradients(params, batch.token_ids, batch.labels,
+                                      params.zeros_like())
         store = params.zeros_like()
         store.flat[...] = np.nan
-        _, reused = loss_and_gradients(params, batch, store)
+        _, reused = loss_and_gradients(params, batch.token_ids, batch.labels,
+                                       store)
         assert reused is store
         assert reused.flat.tobytes() == fresh.flat.tobytes()
 
@@ -218,35 +222,64 @@ class TestDataset:
         )
 
     def test_batch_sizes(self):
-        batches = make_synthetic_dataset(0, 70, 4, 8, batch_size=32)
-        assert [b.labels.size for b in batches] == [32, 32, 6]
+        data = make_synthetic_dataset(0, 70, 4, 8, batch_size=32)
+        assert len(data) == 3
+        assert [b.labels.size for b in data] == [32, 32, 6]
+        assert all(b.batch_size == 32 for b in data)
+        # each batch views its rows of the dataset's arrays
+        last = list(data)[-1]
+        assert np.shares_memory(last.token_ids, data.token_ids)
+        assert np.array_equal(last.labels, data.labels[64:])
 
     def test_bad_vocab(self):
         with pytest.raises(DataError):
             make_synthetic_dataset(0, 10, 4, 1)
 
+    @pytest.mark.parametrize("tokens,labels,batch_size,match", [
+        (np.zeros((2, 3, 1)), np.zeros(2), 1, "shapes invalid"),
+        (np.zeros((2, 3)), np.zeros((2, 1)), 1, "shapes invalid"),
+        (np.zeros((2, 3)), np.zeros(3), 1, "counts differ"),
+        (np.zeros((0, 3)), np.zeros(0), 1, "empty"),
+        (np.array([[0, -1, 0], [0, 0, 0]]), np.zeros(2), 1, "negative token"),
+        (np.zeros((2, 3)), np.array([0, -1]), 1, "negative label"),
+        (np.zeros((2, 3)), np.zeros(2), 0, "batch_size"),
+    ], ids=["3d_tokens", "2d_labels", "counts", "zero_rows",
+            "negative_token", "negative_label", "zero_batch_size"])
+    def test_malformed_input_rejected(self, tokens, labels, batch_size,
+                                      match):
+        with pytest.raises(DataError, match=match):
+            Dataset(tokens, labels, batch_size)
+
+    def test_pickle_keeps_bits_and_batch_size(self):
+        data = make_synthetic_dataset(5, 70, 6, 8, batch_size=32)
+        back = pickle.loads(pickle.dumps(data))
+        assert back.token_ids.tobytes() == data.token_ids.tobytes()
+        assert back.labels.tobytes() == data.labels.tobytes()
+        assert (back.token_ids.dtype, back.labels.dtype) == (np.int64,
+                                                             np.int64)
+        assert back.token_ids.shape == data.token_ids.shape
+        assert back.batch_size == 32
+
 
 class TestEvaluate:
     def test_fraction_of_correct_argmax(self):
         params = tiny_model()
-        batches = make_synthetic_dataset(9, 48, TINY.seq_len, TINY.vocab,
-                                         batch_size=16)
+        data = make_synthetic_dataset(9, 48, TINY.seq_len, TINY.vocab,
+                                      batch_size=16)
         # clip labels into the class range for this tiny config
-        batches = [
-            Batch(token_ids=b.token_ids,
-                  labels=np.minimum(b.labels, TINY.classes - 1))
-            for b in batches
-        ]
-        acc = evaluate(params, batches)
+        data = Dataset(data.token_ids,
+                       np.minimum(data.labels, TINY.classes - 1), 16)
+        acc = evaluate(params, data)
         hits = 0
-        for b in batches:
-            logits, _ = forward(params, b)
+        for b in data:
+            logits, _ = forward(params, b.token_ids)
             hits += int((logits.argmax(axis=1) == b.labels).sum())
         assert acc == hits / 48
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(DataError):
-            evaluate(tiny_model(), [])
+        # an empty dataset cannot be built, so evaluate never sees one
+        with pytest.raises(DataError, match="empty"):
+            Dataset(np.zeros((0, TINY.seq_len)), np.zeros(0), 16)
 
 
 SMALL = ArchConfig(vocab=8, dim=16, heads=1, ffn=32, classes=8, seq_len=16)
@@ -260,9 +293,9 @@ def split_over(monkeypatch):
     size."""
     sizes = []
 
-    def logged(params, batch, original=model.forward):
-        sizes.append(batch.labels.size)
-        return original(params, batch)
+    def logged(params, token_ids, original=model.forward):
+        sizes.append(len(token_ids))
+        return original(params, token_ids)
 
     monkeypatch.setattr(model, "forward", logged)
     monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
@@ -297,26 +330,30 @@ class TestParallelEvaluate:
                                                        monkeypatch):
         monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
         params = build_model(arch, np.random.default_rng(5))
-        batch = make_synthetic_dataset(6, n, arch.seq_len, arch.vocab, n)[0]
-        whole = forward(params, batch)[0]
+        toks = make_synthetic_dataset(6, n, arch.seq_len, arch.vocab,
+                                      n).token_ids
+        whole = forward(params, toks)[0]
         for cores in (2, 3, 4, 16):
-            slices = model._slices(params, batch, cores)
-            assert len(slices) == max(1, min(cores, n // 2))
-            assert all(s.labels.size >= 2 for s in slices)
-            assert np.array_equal(
-                np.concatenate([s.token_ids for s in slices]),
-                batch.token_ids)
-            logits = np.concatenate([forward(params, s)[0] for s in slices])
+            bounds = model._slices(params, toks, cores)
+            assert len(bounds) == max(1, min(cores, n // 2))
+            assert all(hi - lo >= 2 for lo, hi in bounds)
+            # contiguous and covering every row once
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi
+                                                      in bounds[:-1]]
+            assert bounds[-1][1] == n
+            logits = np.concatenate([forward(params, toks[lo:hi])[0]
+                                     for lo, hi in bounds])
             assert logits.tobytes() == whole.tobytes()
 
     def test_one_sequence_batches_stay_whole(self, split_over):
         params = build_model(SMALL, np.random.default_rng(3))
         # a last batch of 1, then a dataset of one 1-sequence batch
         data = make_synthetic_dataset(4, 33, SMALL.seq_len, SMALL.vocab)
+        last = list(data)[-1]
         split_over(1)
-        serial = [evaluate(params, data), evaluate(params, data[1:])]
+        serial = [evaluate(params, data), evaluate(params, last)]
         sizes = split_over(2)
-        assert [evaluate(params, data), evaluate(params, data[1:])] == serial
+        assert [evaluate(params, data), evaluate(params, last)] == serial
         assert sizes == [16, 16, 1, 1]
 
     @pytest.mark.parametrize("blas", [2, None])
@@ -336,10 +373,10 @@ class TestParallelEvaluate:
         evaluate(params, data)
         assert threading.active_count() == before
         # a slice that fails still fails the call, and leaves no thread
-        toks = data[1].token_ids.copy()
+        toks = data.token_ids.copy()
         toks[-1, 0] = SMALL.vocab
         with pytest.raises(DataError, match="out of range"):
-            evaluate(params, [data[0], Batch(toks, data[1].labels)])
+            evaluate(params, Dataset(toks, data.labels, data.batch_size))
         assert threading.active_count() == before
 
 
@@ -446,6 +483,34 @@ class TestCheckpoint:
         manifest = tmp_path / "ck" / "manifest.txt"
         manifest.write_text(manifest.read_text().replace("Wq 8 8", "Wq -8 -8"))
         with pytest.raises(CheckpointError, match=r"manifest\.txt:\d+"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("field", [5, 6], ids=["data", "bias"])
+    @pytest.mark.parametrize("where", ["absolute", "parent", "subdir",
+                                       "dotdot"])
+    def test_file_outside_the_directory_rejected(self, tmp_path, field,
+                                                 where):
+        save_checkpoint(tiny_model(), tmp_path / "ck")
+        # a readable copy of the right size outside the checkpoint, so
+        # only the check stops the load
+        outside = tmp_path / "sub" / "blob.bin"
+        outside.parent.mkdir()
+        source = "ffn_in.bin" if field == 5 else "ffn_in.bias.bin"
+        outside.write_bytes((tmp_path / "ck" / source).read_bytes())
+        (tmp_path / "ck" / "sub").symlink_to(outside.parent)
+        name = {"absolute": str(outside),
+                "parent": f"../sub/{outside.name}",
+                "subdir": f"sub/{outside.name}", "dotdot": ".."}[where]
+        manifest = tmp_path / "ck" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("ffn_in "))
+        parts = lines[row].split()
+        parts[field] = name
+        lines[row] = " ".join(parts)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError,
+                           match=rf"manifest\.txt:{row + 1}: .* is not a file"):
             load_checkpoint(tmp_path / "ck")
 
     def test_duplicate_tensor_reports_line_number(self, tmp_path):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from blockprune import regularizer, trainer
-from blockprune.errors import MaskError, NonFiniteError, ShapeError
+from blockprune.errors import DataError, MaskError, NonFiniteError, ShapeError
 from blockprune.model import (
     ArchConfig,
+    Dataset,
     build_model,
     evaluate,
+    loss_and_gradients,
     make_synthetic_dataset,
 )
 from blockprune.numerics import ROW
@@ -26,6 +28,7 @@ from blockprune.trainer import (
     plain_train,
     retrain,
     reweighted_train,
+    run_datasets,
     run_pipeline,
 )
 
@@ -141,9 +144,25 @@ class TestPlainTrain:
         assert mixed == pred
 
     def test_empty_dataset(self):
-        params, _ = tiny_setup()
-        with pytest.raises(ShapeError):
-            plain_train(params, [], steps=1, learning_rate=1e-3)
+        # an empty dataset, here rows of no tokens, cannot be built, so no
+        # phase trains on one
+        with pytest.raises(DataError, match="empty"):
+            Dataset(np.zeros((4, 0)), np.zeros(4), 16)
+
+    def test_batches_cycle_in_order_with_a_short_last_batch(self):
+        params, data = tiny_setup(seed=3, n=70)
+        data = Dataset(data.token_ids, data.labels, 32)
+        expect = params.clone()
+        report = plain_train(params, data, steps=4, learning_rate=1e-3)
+        assert report.hyper["batch_size"] == 32
+
+        state = make_adam(expect, 1e-3)
+        grads = expect.zeros_like()
+        for lo, hi in ((0, 32), (32, 64), (64, 70), (0, 32)):
+            _, grads = loss_and_gradients(expect, data.token_ids[lo:hi],
+                                          data.labels[lo:hi], grads)
+            adam_step(expect, grads, state)
+        assert params.flat.tobytes() == expect.flat.tobytes()
 
 
 class TestReweighted:
@@ -336,9 +355,7 @@ class TestPipeline:
         cfg = tiny_config(eval_every=eval_every)
         result = run_pipeline(cfg)
         assert len(seen) == calls
-        eval_ds = make_synthetic_dataset(
-            derive_seeds(cfg.seed, 3)[2], cfg.eval_samples, TINY.seq_len,
-            TINY.vocab, cfg.batch_size)
+        _, eval_ds = run_datasets(cfg)
         assert result.final_accuracy == evaluate(result.params, eval_ds)
         assert (result.baseline_accuracy, result.final_accuracy) == (
             seen[1 if eval_every else 0], seen[-1])
