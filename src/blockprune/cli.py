@@ -20,7 +20,7 @@ from .pruner import load_masks, model_compression_rates, \
     sparsity as mask_sparsity
 from .sparse import (bench_environment, bench_spmm, storage_cost,
                      to_block_structured, to_coo, whole_block_cost)
-from .trainer import run_datasets, run_pipeline
+from .trainer import run_dataset, run_pipeline
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -90,6 +90,19 @@ def _load_settings(args) -> Settings:
     return settings
 
 
+def _table(rows: list[dict], columns: list[str], out_dir: str, file: str,
+           meta: dict) -> None:
+    """Print one `key=value` line per row; then, unless out_dir is
+    empty, write the rows to out_dir/file and print its path."""
+    for row in rows:
+        print(" ".join(f"{c}={row[c]}" for c in columns))
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, file)
+        save_table(rows, columns, path, meta=meta)
+        print(f"table written to {path}")
+
+
 def cmd_train(args) -> int:
     settings = _load_settings(args)
     result = run_pipeline(settings.train, out_dir=args.out, verbose=args.verbose)
@@ -111,14 +124,8 @@ def cmd_sweep(args) -> int:
     spec = settings.sweeps[args.name]
     rows = sweep(spec, workers=args.workers)
     columns = ["value", "accuracy", "compression", "wall_clock_seconds", "status"]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{args.name}.csv")
-    save_table(rows, columns, path,
-               meta={"seed": spec.base.seed, "sweep": args.name,
-                     "vary": spec.vary})
-    for row in rows:
-        print(" ".join(f"{c}={row[c]}" for c in columns))
-    print(f"table written to {path}")
+    _table(rows, columns, args.out, f"{args.name}.csv",
+           {"seed": spec.base.seed, "sweep": args.name, "vary": spec.vary})
     return 0
 
 
@@ -131,13 +138,8 @@ def cmd_sensitivity(args) -> int:
         workers=args.workers,
     )
     columns = ["layer", "accuracy", "compression", "wall_clock_seconds", "status"]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sensitivity.csv")
-    save_table(rows, columns, path,
-               meta={"seed": settings.train.seed, "ratio": ratio})
-    for row in rows:
-        print(" ".join(f"{c}={row[c]}" for c in columns))
-    print(f"table written to {path}")
+    _table(rows, columns, args.out, "sensitivity.csv",
+           {"seed": settings.train.seed, "ratio": ratio})
     return 0
 
 
@@ -216,15 +218,8 @@ def cmd_bench(args) -> int:
     rows = bench_spmm(sizes, sparsities, args.reps,
                       num_blocks=args.num_blocks, seed=seed)
     columns = ["size", "sparsity", "format", "median_seconds"]
-    for row in rows:
-        print(" ".join(f"{c}={row[c]}" for c in columns))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "bench.csv")
-        save_table(rows, columns, path,
-                   meta={"seed": seed, "reps": args.reps,
-                         **bench_environment()})
-        print(f"table written to {path}")
+    _table(rows, columns, args.out, "bench.csv",
+           {"seed": seed, "reps": args.reps, **bench_environment()})
     return 0
 
 
@@ -258,8 +253,7 @@ def cmd_eval(args) -> int:
     cfg = settings.train
     params = load_checkpoint(args.checkpoint)
     _check_arch(params, cfg.arch, args.checkpoint)
-    _, eval_ds = run_datasets(cfg)
-    print(f"accuracy={evaluate(params, eval_ds)!r}")
+    print(f"accuracy={evaluate(params, run_dataset(cfg, 'eval'))!r}")
     return 0
 
 

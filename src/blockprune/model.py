@@ -21,6 +21,7 @@ central finite differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -404,10 +405,10 @@ def _slices(params: ModelParams, token_ids: np.ndarray,
     """Row bounds (lo, hi) that cut a batch into contiguous slices to
     forward one per core.
 
-    Every slice holds at least 2 sequences: forward gives such a slice
-    the bits of its rows of the whole batch's logits, but not a slice of
-    one, for which BLAS takes a matrix-vector kernel. A batch cheaper
-    than PARALLEL_MIN_MACS stays whole.
+    Every slice holds at least 2 sequences: forward, packed or not,
+    gives such a slice the bits of its rows of the whole batch's logits,
+    but not a slice of one, for which BLAS takes a matrix-vector kernel.
+    A batch cheaper than PARALLEL_MIN_MACS stays whole.
     """
     rows = len(token_ids)
     n = min(cores, rows // 2)
@@ -416,16 +417,131 @@ def _slices(params: ModelParams, token_ids: np.ndarray,
     return [(rows * k // n, rows * (k + 1) // n) for k in range(n)]
 
 
-def _hits(params: ModelParams, token_ids: np.ndarray,
-          labels: np.ndarray) -> int:
-    # index the result so the activation cache is freed here, not kept
-    # alive while the next batch is forwarded
-    logits = forward(params, token_ids)[0]
+# the weight matrices `evaluate` may multiply through their zero blocks
+PROJECTIONS = ("Wq", "Wk", "Wv", "Wo", "ffn_in", "ffn_out")
+# `evaluate` forwards through packed weights once a batch's forward costs
+# this many multiply-adds (crossover table in CHANGES.md)
+PACKED_MIN_MACS = 10**8
+# a run's row gather and narrower product cost about as much as this
+# many more columns of its product (fitted in CHANGES.md)
+RUN_COST_COLUMNS = 40
+
+
+def _column_runs(W: np.ndarray) -> list[tuple] | None:
+    """W (din, dout) as maximal runs of columns that share their nonzero
+    rows: (lo, hi, rows, W[rows, lo:hi].T contiguous) per run, with rows
+    None where all are nonzero, and (lo, hi, None, None) where none is.
+
+    Row-axis block pruning leaves one run per block. None when the runs
+    would cost no less than W whole, each costed as its nonzero rows
+    times its columns plus RUN_COST_COLUMNS: so for too few zeros, or
+    for runs one column wide, as column-axis pruning leaves.
+    """
+    din, dout = W.shape
+    nz = W != 0
+    lows = np.flatnonzero(np.r_[True, (nz[:, 1:] != nz[:, :-1]).any(axis=0)])
+    highs = np.r_[lows[1:], dout]
+    kept = nz[:, lows].sum(axis=0)
+    if kept @ (highs - lows + RUN_COST_COLUMNS) >= din * dout:
+        return None
+    runs = []
+    for lo, hi, k in zip(lows.tolist(), highs.tolist(), kept.tolist()):
+        if k == din:
+            runs.append((lo, hi, None, np.ascontiguousarray(W[:, lo:hi].T)))
+        elif k:
+            rows = np.flatnonzero(nz[:, lo])
+            runs.append((lo, hi, rows, np.ascontiguousarray(W[rows, lo:hi].T)))
+        else:
+            runs.append((lo, hi, None, None))
+    return runs
+
+
+def _project(W: np.ndarray, runs: list[tuple] | None,
+             Xt: np.ndarray) -> np.ndarray:
+    """(X @ W).T from Xt = X.T, one product per run of W, or one for
+    the whole of W where it has no runs."""
+    if runs is None:
+        return W.T @ Xt
+    Yt = np.empty((W.shape[1], Xt.shape[1]))
+    # one gather buffer for all the runs: a fresh gather per run, with
+    # two threads allocating from one heap, grew the heap by up to ~1,700
+    # pages in a repeated serving-size evaluate
+    most = max((r.size for _, _, r, _ in runs if r is not None), default=0)
+    gathered = np.empty((most, Xt.shape[1]))
+    for lo, hi, rows, WrT in runs:
+        if WrT is None:
+            Yt[lo:hi] = 0.0
+        elif rows is None:
+            np.matmul(WrT, Xt, out=Yt[lo:hi])
+        else:
+            # the rows are in range; "clip" writes to `out` unbuffered
+            Xr = np.take(Xt, rows, axis=0, out=gathered[:rows.size],
+                         mode="clip")
+            np.matmul(WrT, Xr, out=Yt[lo:hi])
+    return Yt
+
+
+def _packed_forward(params: ModelParams, runs: dict[str, list | None],
+                    token_ids: np.ndarray) -> np.ndarray:
+    """The logits of `forward`, computed feature-major (activations as
+    (features, tokens)) through the projections' column runs; they match
+    to ~1e-16, not bit for bit. No cache is kept."""
+    E = params.tensor("embedding").matrix
+    toks = np.asarray(token_ids, dtype=np.int64)
+    if toks.size and not 0 <= toks.min() <= toks.max() < E.shape[0]:
+        raise DataError(f"token id out of range for vocab {E.shape[0]}")
+    B, S = toks.shape
+    d = E.shape[1]
+
+    def project(name, Xt):
+        return _project(params.tensor(name).matrix, runs[name], Xt)
+
+    # (d, B * S), C-contiguous so a run's rows gather as whole rows
+    Xt = np.take(np.ascontiguousarray(E.T), toks.ravel(), axis=1)
+    Qt, Kt, Vt = (project(name, Xt) for name in ("Wq", "Wk", "Wv"))
+    att = np.empty((d, B * S))
+    for lo in range(0, B * S, S):
+        seq = slice(lo, lo + S)
+        A = _softmax(Qt[:, seq].T @ Kt[:, seq] / np.sqrt(d))
+        att[:, seq] = Vt[:, seq] @ A.T
+    del Qt, Kt, Vt  # freed before the wider FFN activations
+    H1 = Xt + project("Wo", att)
+    U = project("ffn_in", H1)
+    U += params.tensor("ffn_in").bias[:, None]
+    np.maximum(U, 0.0, out=U)
+    H2 = project("ffn_out", U)
+    H2 += params.tensor("ffn_out").bias[:, None]
+    H2 += H1
+    P = H2.reshape(d, B, S).mean(axis=2).T  # (B, d)
+    cl = params.tensor("classifier")
+    return P @ cl.matrix + cl.bias
+
+
+def _packed_runs(params: ModelParams,
+                 token_ids: np.ndarray) -> dict[str, list | None] | None:
+    """Column runs of every projection for a batch like `token_ids`, or
+    None when the batch is too cheap or no projection packs."""
+    if _forward_macs(params, token_ids) < PACKED_MIN_MACS:
+        return None
+    runs = {name: _column_runs(params.tensor(name).matrix)
+            for name in PROJECTIONS}
+    return runs if any(r is not None for r in runs.values()) else None
+
+
+def _hits(logits_of, token_ids: np.ndarray, labels: np.ndarray) -> int:
+    logits = logits_of(token_ids)
     return int((logits.argmax(axis=1) == labels).sum())
 
 
 def evaluate(params: ModelParams, dataset: Dataset) -> float:
     """Fraction of argmax(logits) == label; argmax ties -> smallest index.
+
+    At serving size (a batch's forward costs PACKED_MIN_MACS or more)
+    on weights with zero blocks, the batches go through a forward that
+    skips them: each projection's columns are packed into runs that
+    share their nonzero rows, once per call, so weights changed between
+    calls are read afresh. Its logits match `forward`'s to ~1e-16, not
+    bit for bit. Other calls run `forward`.
 
     A large batch is split over the cores that BLAS leaves free, which
     are all of them when BLAS runs one thread per call: this thread
@@ -439,6 +555,14 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
     cores = usable_cores()
     cores //= blas_threads() or cores
     b = dataset.batch_size
+    runs = _packed_runs(params, dataset.token_ids[:b])
+    if runs is None:
+        def logits_of(toks):
+            # index the result so the activation cache is freed here, not
+            # kept alive while the next batch is forwarded
+            return forward(params, toks)[0]
+    else:
+        logits_of = functools.partial(_packed_forward, params, runs)
     hits = 0
     # threads start on the first submit, so a dataset of small batches
     # starts none, and none outlives the call
@@ -448,8 +572,8 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
             labels = dataset.labels[lo:lo + b]
             first, *rest = [(toks[i:j], labels[i:j])
                             for i, j in _slices(params, toks, cores)]
-            others = [pool.submit(_hits, params, *s) for s in rest]
-            hits += _hits(params, *first) + sum(f.result() for f in others)
+            others = [pool.submit(_hits, logits_of, *s) for s in rest]
+            hits += _hits(logits_of, *first) + sum(f.result() for f in others)
     return hits / dataset.labels.size
 
 

@@ -437,16 +437,13 @@ def _end_accuracy(params: ModelParams, report: RunReport, steps: int,
     return evaluate(params, eval_ds)
 
 
-def run_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
-    """A run's training and evaluation sets, from its seed."""
+def run_dataset(config: TrainConfig, split: str) -> Dataset:
+    """A run's "train" or "eval" set, from its seed."""
     _, train_seed, eval_seed = derive_seeds(config.seed, 3)
-    seq_len, vocab = config.arch.seq_len, config.arch.vocab
-    return (
-        make_synthetic_dataset(train_seed, config.train_samples, seq_len,
-                               vocab, config.batch_size),
-        make_synthetic_dataset(eval_seed, config.eval_samples, seq_len,
-                               vocab, config.batch_size),
-    )
+    seed, samples = {"train": (train_seed, config.train_samples),
+                     "eval": (eval_seed, config.eval_samples)}[split]
+    return make_synthetic_dataset(seed, samples, config.arch.seq_len,
+                                  config.arch.vocab, config.batch_size)
 
 
 def baseline_phase(config: TrainConfig):
@@ -460,7 +457,8 @@ def baseline_phase(config: TrainConfig):
         config.arch, make_rng(init_seed),
         prunable_overrides=config.prunable_overrides,
     )
-    train_ds, eval_ds = run_datasets(config)
+    train_ds = run_dataset(config, "train")
+    eval_ds = run_dataset(config, "eval")
     with _phase("baseline"):
         report = plain_train(
             params, train_ds, config.baseline_steps, config.learning_rate,

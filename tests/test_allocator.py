@@ -13,18 +13,26 @@ import blockprune
 
 HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
 
-# a serving-size forward: the FFN activations of a batch of 32 are 32 MiB
+# a serving-size forward: the FFN activations of a batch of 32 are 32 MiB;
+# argv[1] "pruned" row-prunes the projections at 0.8 first, so evaluate
+# takes its packed path
 REPEATED_EVALUATE = textwrap.dedent("""
     import resource
+    import sys
 
     import numpy as np
 
-    from blockprune.model import (ArchConfig, build_model, evaluate,
-                                  make_synthetic_dataset)
+    from blockprune.model import (PROJECTIONS, ArchConfig, build_model,
+                                  evaluate, make_synthetic_dataset)
+    from blockprune.pruner import PruneEntry, PruneSpec, prune_model
 
     arch = ArchConfig(vocab=8, dim=256, heads=1, ffn=1024, classes=8,
                       seq_len=128)
     params = build_model(arch, np.random.default_rng(0))
+    if sys.argv[1] == "pruned":
+        prune_model(params, PruneSpec(entries=tuple(
+            PruneEntry(name, "row", 8, "percentile", 0.8)
+            for name in PROJECTIONS)))
     data = make_synthetic_dataset(1, 32, 128, 8, 32)
     evaluate(params, data)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -40,11 +48,12 @@ def test_repeated_evaluate_reuses_freed_buffers():
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
-    done = subprocess.run([sys.executable, "-c", REPEATED_EVALUATE],
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    # glibc's default maps and unmaps each 32 MiB buffer: 9,500-16,000
-    assert int(done.stdout) < 1000
+    for weights in ("dense", "pruned"):
+        done = subprocess.run(
+            [sys.executable, "-c", REPEATED_EVALUATE, weights], env=env,
+            capture_output=True, text=True, timeout=120, check=True)
+        # glibc's default maps and unmaps each 32 MiB buffer: 9,500-16,000
+        assert int(done.stdout) < 1000, weights
 
 
 def test_policy_turns_off_mmap_and_trimming():

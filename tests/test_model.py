@@ -19,7 +19,8 @@ from blockprune.model import (
     make_synthetic_dataset,
     save_checkpoint,
 )
-from blockprune.numerics import finite_diff_gradient
+from blockprune.numerics import COLUMN, ROW, finite_diff_gradient
+from blockprune.pruner import PruneEntry, PruneSpec, prune_model
 
 TINY = ArchConfig(vocab=6, dim=8, heads=1, ffn=12, classes=4, seq_len=5)
 
@@ -283,6 +284,16 @@ class TestEvaluate:
 
 
 SMALL = ArchConfig(vocab=8, dim=16, heads=1, ffn=32, classes=8, seq_len=16)
+DIM64 = ArchConfig(vocab=8, dim=64, heads=1, ffn=128, classes=8, seq_len=32)
+
+
+def prune(params, axis, sparsity, names=model.PROJECTIONS):
+    """Prune the named projections in 2 blocks on `axis`, in place; at
+    dim 64 a row-axis block is then wide enough for packing to pay."""
+    prune_model(params, PruneSpec(entries=tuple(
+        PruneEntry(name, axis, 2, "percentile", sparsity) for name in names
+    )))
+    return params
 
 
 @pytest.fixture
@@ -322,17 +333,20 @@ class TestParallelEvaluate:
             assert len(sizes) == 6 * cores + min(cores, 4)
             assert sum(sizes) == 200
 
-    @pytest.mark.parametrize("arch", [
-        SMALL, ArchConfig(vocab=8, dim=64, heads=1, ffn=128, classes=8,
-                          seq_len=32)])
+    @pytest.mark.parametrize("arch", [SMALL, DIM64])
     @pytest.mark.parametrize("n", [2, 3, 32, 33])
     def test_slice_logits_bit_identical_to_whole_batch(self, arch, n,
                                                        monkeypatch):
         monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
+        monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
         params = build_model(arch, np.random.default_rng(5))
         toks = make_synthetic_dataset(6, n, arch.seq_len, arch.vocab,
                                       n).token_ids
         whole = forward(params, toks)[0]
+        # the packed forward on the same weights, row-pruned
+        pruned = prune(params.clone(), ROW, 0.8)
+        runs = model._packed_runs(pruned, toks)
+        packed = model._packed_forward(pruned, runs, toks)
         for cores in (2, 3, 4, 16):
             bounds = model._slices(params, toks, cores)
             assert len(bounds) == max(1, min(cores, n // 2))
@@ -344,6 +358,10 @@ class TestParallelEvaluate:
             logits = np.concatenate([forward(params, toks[lo:hi])[0]
                                      for lo, hi in bounds])
             assert logits.tobytes() == whole.tobytes()
+            logits = np.concatenate([
+                model._packed_forward(pruned, runs, toks[lo:hi])
+                for lo, hi in bounds])
+            assert logits.tobytes() == packed.tobytes()
 
     def test_one_sequence_batches_stay_whole(self, split_over):
         params = build_model(SMALL, np.random.default_rng(3))
@@ -378,6 +396,72 @@ class TestParallelEvaluate:
         with pytest.raises(DataError, match="out of range"):
             evaluate(params, Dataset(toks, data.labels, data.batch_size))
         assert threading.active_count() == before
+
+
+class TestPackedForward:
+    @pytest.mark.parametrize("axis, sparsity, names, packs", [
+        # at 0.5 only ffn_in's runs, 64 columns wide, pay
+        (ROW, 0.5, model.PROJECTIONS, ("ffn_in",)),
+        (ROW, 0.8, model.PROJECTIONS, model.PROJECTIONS),
+        (ROW, 0.8, (), ()),  # unpruned
+        # runs one column wide: every matrix is multiplied whole
+        (COLUMN, 0.8, model.PROJECTIONS, ()),
+        (ROW, 0.8, ("ffn_out",), ("ffn_out",)),
+    ])
+    def test_matches_forward(self, split_over, monkeypatch, axis, sparsity,
+                             names, packs):
+        params = prune(build_model(DIM64, np.random.default_rng(5)), axis,
+                       sparsity, names)
+        data = make_synthetic_dataset(6, 70, DIM64.seq_len, DIM64.vocab)
+        sizes = split_over(1)
+        # below the cut every batch runs forward
+        dense = evaluate(params, data)
+        assert sizes == [32, 32, 6]
+        monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
+        sizes.clear()
+        assert evaluate(params, data) == dense
+        # forward runs every batch unless some matrix packs
+        assert sizes == ([] if packs else [32, 32, 6])
+        runs = {name: model._column_runs(params.tensor(name).matrix)
+                for name in model.PROJECTIONS}
+        assert [n for n, r in runs.items() if r is not None] == list(packs)
+        assert (model._packed_runs(params, data.token_ids) is None) == (
+            not packs)
+        got = model._packed_forward(params, runs, data.token_ids)
+        want = forward(params, data.token_ids)[0]
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_weights_are_packed_afresh_each_call(self, split_over,
+                                                 monkeypatch):
+        monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
+        params = prune(build_model(DIM64, np.random.default_rng(5)), ROW,
+                       0.8)
+        data = make_synthetic_dataset(6, 64, DIM64.seq_len, DIM64.vocab)
+        seen = []
+
+        def logged(params, runs, token_ids,
+                   original=model._packed_forward):
+            seen.append((token_ids, original(params, runs, token_ids)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(model, "_packed_forward", logged)
+        before = threading.active_count()
+        split_over(2)
+        evaluate(params, data)
+        assert len(seen) == 4  # two batches, two slices each
+        assert threading.active_count() == before
+        # zero one kept block of Wv in place: its first run of columns
+        Wv = params.tensor("Wv").matrix
+        lo, hi, _, _ = model._column_runs(Wv)[0]
+        Wv[:, lo:hi] = 0.0
+        seen.clear()
+        acc = evaluate(params, data)
+        assert len(seen) == 4
+        for toks, logits in seen:
+            want = forward(params, toks)[0]
+            assert np.abs(logits - want).max() <= 1e-12
+        monkeypatch.setattr(model, "PACKED_MIN_MACS", 10**30)
+        assert acc == evaluate(params, data)
 
 
 def assert_views_of_flat(params):

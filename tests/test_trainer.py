@@ -28,7 +28,7 @@ from blockprune.trainer import (
     plain_train,
     retrain,
     reweighted_train,
-    run_datasets,
+    run_dataset,
     run_pipeline,
 )
 
@@ -355,8 +355,8 @@ class TestPipeline:
         cfg = tiny_config(eval_every=eval_every)
         result = run_pipeline(cfg)
         assert len(seen) == calls
-        _, eval_ds = run_datasets(cfg)
-        assert result.final_accuracy == evaluate(result.params, eval_ds)
+        assert result.final_accuracy == evaluate(result.params,
+                                                 run_dataset(cfg, "eval"))
         assert (result.baseline_accuracy, result.final_accuracy) == (
             seen[1 if eval_every else 0], seen[-1])
 
