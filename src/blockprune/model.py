@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CheckpointError, DataError, ShapeError, read_lines
-from .numerics import blas_threads, usable_cores
+from .numerics import blas_threads, run_pinned, usable_cores
 
 EMBEDDING = "embedding"
 ATTENTION = "attention"
@@ -386,9 +385,8 @@ def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,
 
 
 # `evaluate` splits a batch over the cores once its forward costs this
-# many multiply-adds. Split and whole cross over between 5e6 and 1.5e7
-# on two cores; the cut sits above that because a process's first
-# splits can run on one core (table in CHANGES.md)
+# many multiply-adds: with the pool thread pinned, split and whole cross
+# over between 1.5e7 and 5.5e7 on two cores (table in CHANGES.md)
 PARALLEL_MIN_MACS = 5 * 10**7
 
 
@@ -545,10 +543,10 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
 
     A large batch is split over the cores that BLAS leaves free, which
     are all of them when BLAS runs one thread per call: this thread
-    forwards one slice while the threads of a pool that lives for this
-    call forward the others (BLAS and numpy's loops release the GIL).
-    Hits are counted per slice and added, so the result does not depend
-    on the core count.
+    forwards one slice while pinned threads of `numerics.run_pinned`
+    forward the others (BLAS and numpy's loops release the GIL). Hits
+    are counted per slice and added, so the result does not depend on
+    the core count.
     """
     # a BLAS that does not say how many threads it runs may already
     # keep every core busy
@@ -564,16 +562,12 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
     else:
         logits_of = functools.partial(_packed_forward, params, runs)
     hits = 0
-    # threads start on the first submit, so a dataset of small batches
-    # starts none, and none outlives the call
-    with ThreadPoolExecutor(max(1, cores - 1)) as pool:
-        for lo in range(0, dataset.labels.size, b):
-            toks = dataset.token_ids[lo:lo + b]
-            labels = dataset.labels[lo:lo + b]
-            first, *rest = [(toks[i:j], labels[i:j])
-                            for i, j in _slices(params, toks, cores)]
-            others = [pool.submit(_hits, logits_of, *s) for s in rest]
-            hits += _hits(logits_of, *first) + sum(f.result() for f in others)
+    for lo in range(0, dataset.labels.size, b):
+        toks = dataset.token_ids[lo:lo + b]
+        labels = dataset.labels[lo:lo + b]
+        hits += sum(run_pinned([
+            functools.partial(_hits, logits_of, toks[i:j], labels[i:j])
+            for i, j in _slices(params, toks, cores)]))
     return hits / dataset.labels.size
 
 

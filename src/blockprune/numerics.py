@@ -1,6 +1,6 @@
-"""Dense matrix arithmetic, seeded randomness, the finite-difference
-gradient oracle, and the core and BLAS thread counts that parallel
-code sizes itself by.
+"""Dense matrix arithmetic, seeded randomness, the core and BLAS thread
+counts that parallel code sizes itself by, and the pinned per-call
+thread pool it runs on.
 
 Matrices are plain 2-D float64 numpy arrays throughout the package.
 Everything here runs in 64-bit; precision is cheap at this scale and it
@@ -23,11 +23,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ShapeError
 
 ROW = "row"
 COLUMN = "column"
@@ -37,13 +38,52 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: its affinity mask, or the
-    machine's core count where the platform has no mask."""
+def usable_cpus() -> list[int]:
+    """CPUs this process may run on: its affinity mask, or every CPU of
+    the machine where the platform has no mask."""
     try:
-        return len(os.sched_getaffinity(0))
+        return sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+        return list(range(os.cpu_count() or 1))
+
+
+def usable_cores() -> int:
+    return len(usable_cpus())
+
+
+def run_pinned(calls: list[Callable[[], object]]) -> list:
+    """The results of zero-argument `calls`, in order: the first runs on
+    this thread, each other on a thread of a pool that lives for this
+    call only and first pins itself to a CPU of the mask other than the
+    one this thread runs on, in turn; the caller's mask is left as it
+    was. Unpinned, or pinned to a fixed CPU, a pool thread can share a
+    CPU with its caller for up to ~1.5 s while another idles (CHANGES.md).
+    Without the platform's affinity calls the threads run unpinned."""
+    first, *rest = calls
+    if not rest:
+        return [first()]
+    getcpu = _sched_getcpu() if hasattr(os, "sched_setaffinity") else None
+    here = getcpu() if getcpu else None
+    others = [cpu for cpu in usable_cpus() if cpu != here] if getcpu else []
+
+    def pinned(k: int, call: Callable[[], object]):
+        if others:
+            os.sched_setaffinity(0, {others[k % len(others)]})
+        return call()
+
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(pinned, k, call) for k, call in enumerate(rest)]
+        return [first()] + [f.result() for f in futures]
+
+
+@functools.cache
+def _sched_getcpu():
+    """The C library's getter of the CPU a thread runs on, or None."""
+    get = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if get is not None:
+        get.argtypes = ()
+        get.restype = ctypes.c_int
+    return get
 
 
 def blas_threads() -> int | None:
@@ -96,50 +136,3 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # rank-1 update; per entry this adds a[i,k]*b[k,j] in ascending k
         out += a[:, k : k + 1] * b[k, :]
     return out
-
-
-def segment_l2_norm(m: np.ndarray, group_index: int, axis: str, lo: int, hi: int) -> float:
-    """l2 norm of entries lo..hi (exclusive) of one row or one column."""
-    m = as_matrix(m)
-    if axis not in (ROW, COLUMN):
-        raise ShapeError(f"axis must be {ROW!r} or {COLUMN!r}, got {axis!r}")
-    n_groups, extent = m.shape if axis == ROW else m.shape[::-1]
-    if not 0 <= group_index < n_groups:
-        raise ShapeError(
-            f"group index {group_index} out of range for {n_groups} {axis}s"
-        )
-    if not 0 <= lo < hi <= extent:
-        raise ShapeError(
-            f"segment [{lo}, {hi}) invalid for {axis} extent {extent}"
-        )
-    seg = m[group_index, lo:hi] if axis == ROW else m[lo:hi, group_index]
-    return float(np.sqrt(np.sum(seg * seg)))
-
-
-def finite_diff_gradient(
-    f: Callable[[np.ndarray], float], w: np.ndarray, h: float
-) -> np.ndarray:
-    """Central differences (f(w + h*e) - f(w - h*e)) / 2h per entry.
-
-    f must read its argument without retaining it; the same buffer is
-    perturbed and restored entry by entry. Works on any array shape, so
-    bias vectors check the same way as weight matrices.
-    """
-    if not h > 0:
-        raise ShapeError(f"finite-difference step must be positive, got {h}")
-    w = np.asarray(w, dtype=np.float64)
-    wp = w.copy()
-    grad = np.zeros_like(wp)
-    for idx in np.ndindex(wp.shape):
-        orig = wp[idx]
-        wp[idx] = orig + h
-        f_plus = float(f(wp))
-        wp[idx] = orig - h
-        f_minus = float(f(wp))
-        wp[idx] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NonFiniteError(
-                f"function evaluation not finite while perturbing entry {idx}"
-            )
-        grad[idx] = (f_plus - f_minus) / (2.0 * h)
-    return grad

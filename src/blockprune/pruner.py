@@ -94,15 +94,6 @@ def _zero_pair(keep: np.ndarray, g: int, b: int) -> None:
     keep[g, b] = False
 
 
-def mask_from_zeroed(
-    part: BlockPartition, pairs: list[tuple[int, int]], layer_name: str = ""
-) -> PruneMask:
-    keep = np.ones((part.extent_groups, part.blocks_per_group), dtype=bool)
-    for g, b in pairs:
-        _zero_pair(keep, g, b)
-    return PruneMask(keep, part, layer_name)
-
-
 def _apply(w: np.ndarray, mask: PruneMask) -> np.ndarray:
     # assignment rather than multiply: retained entries stay bitwise
     # untouched and zeroed entries become +0.0, never -0.0

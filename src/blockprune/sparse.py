@@ -14,18 +14,23 @@ kernel splits those rows into tiles of at most TILE_ELEMENTS output
 entries, so that a tile and the scratch holding one rank-1 product fit
 a 2 MiB per-core L2 together, and adds one product per contraction
 index into each tile, in ascending order, skipping zeroed segments. On
-the row axis a tile's rows are gathered from the output and scattered
-back; on the column axis they are a contiguous slice, updated in place.
-Tiling only splits output entries, which do not depend on each other,
-and a product of two doubles is correctly rounded however it is formed,
-so every output entry adds the same rounded products in the same order
-as `numerics.matmul` of the densified matrix, and the two outputs are
-bit-identical. (The one exception is the sign of an exactly-zero output
-entry, which cannot occur with continuous random data.)
+both axes a tile's rows are copied out of the output into a contiguous
+accumulator and written back after its products. A large call first
+cuts the operand's columns into one slice per usable core and runs this
+loop on each slice, into the same columns of the output, side by side
+(numpy's loops release the GIL). The kernel calls no BLAS, so every
+usable core is free for it.
+Tiles and slices only split output entries, which do not depend on each
+other, and a product of two doubles is correctly rounded however it is
+formed, so every output entry adds the same rounded products in the same
+order as `numerics.matmul` of the densified matrix, and the two outputs
+are bit-identical. (The one exception is the sign of an exactly-zero
+output entry, which cannot occur with continuous random data.)
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from statistics import median
@@ -33,13 +38,18 @@ from statistics import median
 import numpy as np
 
 from .errors import CheckpointError, MaskError, PartitionError, ShapeError
-from .numerics import ROW, as_matrix, matmul, usable_cores
+from .numerics import (ROW, as_matrix, matmul, run_pinned, usable_cores,
+                       usable_cpus)
 from .pruner import PruneMask, prune_percentile, sparsity
 from .regularizer import BlockPartition, make_partition, segments
 
 # output entries in one spmm tile, and in the scratch that holds one
 # rank-1 product over it: 64 Ki float64 = 512 KiB each
 TILE_ELEMENTS = 1 << 16
+# spmm splits a call over the cores from this many multiply-adds on; below
+# it a slice's rank-1 products are too short to gain on the GIL that the
+# threads hand each other between products (table in CHANGES.md)
+SPLIT_MIN_MACS = 2 * 10**8
 
 
 @dataclass(frozen=True)
@@ -87,12 +97,6 @@ def to_coo(w: np.ndarray) -> CooMatrix:
         row_idx=r.astype(np.int64), col_idx=c.astype(np.int64),
         values=w[r, c].astype(np.float64),
     )
-
-
-def densify_coo(m: CooMatrix) -> np.ndarray:
-    out = np.zeros((m.rows, m.cols))
-    out[m.row_idx, m.col_idx] = m.values
-    return out
 
 
 def to_block_structured(w: np.ndarray, mask: PruneMask) -> BlockStructuredMatrix:
@@ -179,17 +183,32 @@ def whole_block_cost(mask: PruneMask) -> StorageReport | None:
 
 
 def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
-    """a (rows, cols) block-sparse x b (cols, n) dense -> (rows, n)."""
+    """a (rows, cols) block-sparse x b (cols, n) dense -> (rows, n); from
+    SPLIT_MIN_MACS multiply-adds (retained values times n) on, b's
+    columns are cut into one slice per usable core, at most n."""
     _check_block_matrix(a)
     b = as_matrix(b)
     if a.cols != b.shape[0]:
         raise ShapeError(
             f"spmm shapes incompatible: {a.rows}x{a.cols} x {b.shape}"
         )
+    n = b.shape[1]
+    out = np.zeros((a.rows, n))
+    parts = 1
+    if a.values.size * n >= SPLIT_MIN_MACS:
+        parts = max(1, min(usable_cores(), n))
+    run_pinned([functools.partial(_spmm_into, a, b[:, lo:hi], out[:, lo:hi])
+                for lo, hi in ((n * k // parts, n * (k + 1) // parts)
+                               for k in range(parts))])
+    return out
+
+
+def _spmm_into(a: BlockStructuredMatrix, b: np.ndarray,
+               out: np.ndarray) -> None:
+    """Add a x b into out, a zero (a.rows, b.shape[1]) array or view."""
     part = a.partition
     width = part.block_width
     n = b.shape[1]
-    out = np.zeros((a.rows, n))
     tile = max(1, TILE_ELEMENTS // max(n, 1))
     scratch = np.empty(tile * n)
     for block in range(part.blocks_per_group):
@@ -213,7 +232,10 @@ def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
                 rows = groups[lo : lo + tile]
             else:
                 rows = slice(base + lo, base + lo + c.shape[1])
-            acc = out[rows]  # a gathered copy on the row axis, else a view
+            # contiguous, so copied from a column slice of `out`: adding
+            # in place into its rows, strided by out's full width, ran
+            # slower on two cores than the unsplit kernel on one
+            acc = np.ascontiguousarray(out[rows])
             prod = scratch[: acc.size].reshape(acc.shape)
             # ascending contraction order within the block and across
             # blocks, the fixed order of numerics.matmul for every entry;
@@ -222,9 +244,7 @@ def spmm(a: BlockStructuredMatrix, b: np.ndarray) -> np.ndarray:
             for j, k in enumerate(ks):
                 np.einsum("i,j->ij", c[j], b[k], out=prod)
                 acc += prod
-            if part.axis == ROW:
-                out[rows] = acc
-    return out
+            out[rows] = acc
 
 
 def coo_spmm(a: CooMatrix, b: np.ndarray) -> np.ndarray:
@@ -309,14 +329,16 @@ def bench_spmm(
 
 
 def bench_environment() -> dict:
-    """What bench timings depend on beyond the inputs: the numpy and
-    BLAS builds and the number of usable cores."""
+    """What bench timings depend on beyond the inputs: numpy and BLAS,
+    the usable cores, and the CPUs spmm splits a large call over."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "nproc": usable_cores()}
+    return {"numpy": np.__version__, "blas": blas, "nproc": usable_cores(),
+            "spmm_cpus": ",".join(map(str, usable_cpus())),
+            "spmm_split_macs": SPLIT_MIN_MACS}
 
 
 # ---------------------------------------------------------------------------

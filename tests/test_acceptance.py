@@ -36,7 +36,6 @@ from blockprune.numerics import (
     COLUMN,
     ROW,
     as_matrix,
-    finite_diff_gradient,
     make_rng,
     matmul,
 )
@@ -74,6 +73,7 @@ from blockprune.trainer import (
     reweighted_phase,
     reweighted_train,
 )
+from oracles import finite_diff_gradient
 
 RESULTS: list[tuple[int, str, bool]] = []
 

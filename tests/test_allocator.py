@@ -40,6 +40,29 @@ REPEATED_EVALUATE = textwrap.dedent("""
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """)
 
+# a 1024^2 spmm at 0.8 sparsity on the axis argv[1]: past SPLIT_MIN_MACS,
+# so its column slices run on two threads on a 2-core machine
+REPEATED_SPMM = textwrap.dedent("""
+    import resource
+    import sys
+
+    import numpy as np
+
+    from blockprune.pruner import prune_percentile
+    from blockprune.regularizer import make_partition
+    from blockprune.sparse import spmm, to_block_structured
+
+    rng = np.random.default_rng(0)
+    w, b = rng.normal(size=(2, 1024, 1024))
+    part = make_partition(1024, 1024, sys.argv[1], 8)
+    pruned, mask = prune_percentile(w, part, 0.8)
+    m = to_block_structured(pruned, mask)
+    spmm(m, b)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    spmm(m, b)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
 
 @pytest.mark.skipif(not HAS_MALLOPT, reason="the C library has no mallopt")
 def test_repeated_evaluate_reuses_freed_buffers():
@@ -48,12 +71,14 @@ def test_repeated_evaluate_reuses_freed_buffers():
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
-    for weights in ("dense", "pruned"):
+    for script, arg in ((REPEATED_EVALUATE, "dense"),
+                        (REPEATED_EVALUATE, "pruned"),
+                        (REPEATED_SPMM, "row"), (REPEATED_SPMM, "column")):
         done = subprocess.run(
-            [sys.executable, "-c", REPEATED_EVALUATE, weights], env=env,
+            [sys.executable, "-c", script, arg], env=env,
             capture_output=True, text=True, timeout=120, check=True)
         # glibc's default maps and unmaps each 32 MiB buffer: 9,500-16,000
-        assert int(done.stdout) < 1000, weights
+        assert int(done.stdout) < 1000, arg
 
 
 def test_policy_turns_off_mmap_and_trimming():

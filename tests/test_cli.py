@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockprune import trainer
+from blockprune import sparse, trainer
 from blockprune.cli import main
 from blockprune.model import (
     ArchConfig,
@@ -237,6 +237,8 @@ class TestBenchCommand:
         assert meta["numpy"] == np.__version__
         assert meta["blas"]
         assert int(meta["nproc"]) >= 1
+        assert len(meta["spmm_cpus"].split(",")) == int(meta["nproc"])
+        assert int(meta["spmm_split_macs"]) == sparse.SPLIT_MIN_MACS
 
     def test_too_few_reps_exits_2(self, capsys):
         assert main(["bench", "--reps", "2"]) == 2

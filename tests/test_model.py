@@ -1,3 +1,4 @@
+import os
 import pickle
 import threading
 
@@ -19,8 +20,9 @@ from blockprune.model import (
     make_synthetic_dataset,
     save_checkpoint,
 )
-from blockprune.numerics import COLUMN, ROW, finite_diff_gradient
+from blockprune.numerics import COLUMN, ROW
 from blockprune.pruner import PruneEntry, PruneSpec, prune_model
+from oracles import finite_diff_gradient
 
 TINY = ArchConfig(vocab=6, dim=8, heads=1, ffn=12, classes=4, seq_len=5)
 
@@ -386,10 +388,15 @@ class TestParallelEvaluate:
     def test_no_thread_outlives_the_call(self, split_over):
         params = build_model(SMALL, np.random.default_rng(3))
         data = make_synthetic_dataset(4, 64, SMALL.seq_len, SMALL.vocab)
+        pinned = hasattr(os, "sched_getaffinity")
+        cpus = os.sched_getaffinity(0) if pinned else None
         before = threading.active_count()
         split_over(4)
         evaluate(params, data)
         assert threading.active_count() == before
+        # the pool's threads pin themselves, not the caller
+        if pinned:
+            assert os.sched_getaffinity(0) == cpus
         # a slice that fails still fails the call, and leaves no thread
         toks = data.token_ids.copy()
         toks[-1, 0] = SMALL.vocab

@@ -1,23 +1,26 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import blockprune
+from blockprune import numerics
 from blockprune.errors import NonFiniteError, ShapeError
 from blockprune.numerics import (
     COLUMN,
     ROW,
     as_matrix,
     blas_threads,
-    finite_diff_gradient,
     make_rng,
     matmul,
-    segment_l2_norm,
+    run_pinned,
     usable_cores,
+    usable_cpus,
 )
+from oracles import finite_diff_gradient, segment_l2_norm
 
 
 def naive_matmul(a, b):
@@ -131,11 +134,13 @@ class TestCores:
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no affinity mask on this platform")
         assert usable_cores() == len(os.sched_getaffinity(0))
+        assert usable_cpus() == sorted(os.sched_getaffinity(0))
 
     def test_usable_cores_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert usable_cores() == 3
+        assert usable_cpus() == [0, 1, 2]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cores() == 1
 
@@ -155,3 +160,57 @@ class TestCores:
             env=env, capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.split() == ["1"]
         assert blas_threads() >= 1
+
+
+class TestRunPinned:
+    def test_results_in_order_first_on_the_caller(self):
+        def call(k):
+            return lambda: (k, threading.get_ident())
+
+        before = threading.active_count()
+        got = run_pinned([call(k) for k in range(5)])
+        assert [k for k, _ in got] == [0, 1, 2, 3, 4]
+        assert got[0][1] == threading.get_ident()
+        assert threading.get_ident() not in {t for _, t in got[1:]}
+        assert threading.active_count() == before
+        # one call starts no thread
+        assert run_pinned([lambda: threading.get_ident()]) == [
+            threading.get_ident()]
+
+    def test_pool_threads_pin_away_from_the_callers_cpu(self, monkeypatch):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity calls on this platform")
+        mask = os.sched_getaffinity(0)
+        assert numerics._sched_getcpu()() in mask
+        for here in sorted(mask):
+            # the caller found on `here`, whichever CPU it is really on
+            monkeypatch.setattr(numerics, "_sched_getcpu",
+                                lambda: lambda: here)
+            others = sorted(mask - {here})
+            got = run_pinned([lambda: os.sched_getaffinity(0)] * 5)
+            assert got[0] == mask
+            if others:
+                assert got[1:] == [{others[k % len(others)]}
+                                   for k in range(4)]
+            else:  # a one-CPU mask: nowhere else to go
+                assert got[1:] == [mask] * 4
+            assert os.sched_getaffinity(0) == mask
+
+    def test_unpinned_without_affinity_calls(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            mask = os.sched_getaffinity(0)
+            got = run_pinned([lambda: os.sched_getaffinity(0)] * 3)
+            assert got == [mask] * 3
+        else:
+            assert run_pinned([lambda: 1] * 3) == [1, 1, 1]
+
+    def test_a_failing_call_fails_the_run_and_leaves_no_thread(self):
+        def fail():
+            raise ValueError("slice failed")
+
+        before = threading.active_count()
+        for calls in ([lambda: 1, fail], [fail, lambda: 1]):
+            with pytest.raises(ValueError, match="slice failed"):
+                run_pinned(calls)
+            assert threading.active_count() == before

@@ -10,7 +10,6 @@ from blockprune.pruner import (
     PruneSpec,
     compression_rate,
     load_masks,
-    mask_from_zeroed,
     model_compression_rates,
     prune_model,
     prune_percentile,
@@ -20,6 +19,7 @@ from blockprune.pruner import (
     zeroed_pairs,
 )
 from blockprune.regularizer import make_partition
+from oracles import mask_from_zeroed
 
 
 def segment_matrix(norms_by_segment, width=2):

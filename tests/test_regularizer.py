@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockprune.errors import PartitionError, ShapeError
-from blockprune.numerics import COLUMN, ROW, finite_diff_gradient, segment_l2_norm
+from blockprune.numerics import COLUMN, ROW
 from blockprune.regularizer import (
     EPSILON_GAMMA,
     gamma_update,
@@ -12,6 +12,7 @@ from blockprune.regularizer import (
     penalty_grad,
     segments,
 )
+from oracles import finite_diff_gradient, segment_l2_norm
 
 
 class TestPartition:

@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from blockprune.errors import CheckpointError, MaskError, ShapeError
 from blockprune.numerics import COLUMN, ROW, matmul
-from blockprune.pruner import mask_from_zeroed, prune_percentile
+from blockprune.pruner import prune_percentile
 from blockprune.regularizer import make_partition
 from blockprune import sparse
 from blockprune.sparse import (
@@ -15,7 +17,6 @@ from blockprune.sparse import (
     bench_spmm,
     coo_spmm,
     densify,
-    densify_coo,
     load_block_structured,
     save_block_structured,
     spmm,
@@ -24,6 +25,7 @@ from blockprune.sparse import (
     to_coo,
     whole_block_cost,
 )
+from oracles import densify_coo, mask_from_zeroed
 
 
 def masked_matrix(rng, rows, cols, axis, k, s):
@@ -171,12 +173,15 @@ class TestSpmm:
         n=st.integers(0, 9),
         s=st.floats(0.0, 0.95),
         tile_elements=st.integers(1, 40),
+        cores=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_bit_identical(self, axis, groups, num_blocks, width,
-                                    n, s, tile_elements, seed):
-        """Over random small partitions, and tiles small enough to split
-        them, spmm gives the bytes of the fixed-order dense kernel."""
+                                    n, s, tile_elements, cores, seed):
+        """Over random small partitions, tiles small enough to split
+        them, and column slices over up to 4 cores (more than n for the
+        narrowest b), spmm gives the bytes of the fixed-order dense
+        kernel."""
         rng = np.random.default_rng(seed)
         extent = num_blocks * width
         shape = (groups, extent) if axis == ROW else (extent, groups)
@@ -185,8 +190,52 @@ class TestSpmm:
         b = rng.normal(size=(shape[1], n))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse, "TILE_ELEMENTS", tile_elements)
+            mp.setattr(sparse, "SPLIT_MIN_MACS", 0)
+            mp.setattr(sparse, "usable_cores", lambda: cores)
             got = spmm(m, b)
         assert got.tobytes() == matmul(densify(m), b).tobytes()
+
+    @pytest.mark.parametrize("axis", [ROW, COLUMN])
+    def test_split_over_cores_bit_identical(self, axis, monkeypatch):
+        """A call of SPLIT_MIN_MACS or more is cut into one column slice
+        per core, at most n of them, and still gives the bytes of the
+        fixed-order dense kernel; a cheaper call stays whole."""
+        parts = []
+
+        def logged(calls, original=sparse.run_pinned):
+            parts.append(len(calls))
+            return original(calls)
+
+        monkeypatch.setattr(sparse, "run_pinned", logged)
+        rng = np.random.default_rng(88)
+        w, mask = masked_matrix(rng, 32, 32, axis, 4, 0.5)
+        m = to_block_structured(w, mask)
+        b = rng.normal(size=(32, 64))
+        spmm(m, b)
+        assert parts == [1]
+        monkeypatch.setattr(sparse, "SPLIT_MIN_MACS", 0)
+        for cores in (2, 3, 8):
+            monkeypatch.setattr(sparse, "usable_cores", lambda: cores)
+            for n in (1, 2, 5, 16, 64):
+                b = rng.normal(size=(32, n))
+                parts.clear()
+                got = spmm(m, b)
+                assert got.tobytes() == matmul(densify(m), b).tobytes()
+                assert parts == [min(cores, n)]
+
+    def test_split_leaves_no_thread_and_the_callers_mask(self, monkeypatch):
+        monkeypatch.setattr(sparse, "SPLIT_MIN_MACS", 0)
+        monkeypatch.setattr(sparse, "usable_cores", lambda: 4)
+        rng = np.random.default_rng(89)
+        w, mask = masked_matrix(rng, 32, 32, COLUMN, 4, 0.5)
+        m = to_block_structured(w, mask)
+        pinned = hasattr(os, "sched_getaffinity")
+        cpus = os.sched_getaffinity(0) if pinned else None
+        before = threading.active_count()
+        spmm(m, rng.normal(size=(32, 16)))
+        assert threading.active_count() == before
+        if pinned:
+            assert os.sched_getaffinity(0) == cpus
 
     def test_unsorted_pairs_rejected(self):
         rng = np.random.default_rng(84)
