@@ -8,19 +8,20 @@ stores the result in a block-structured sparse format.
 Importing the package sets glibc's allocator so that freed numpy
 buffers stay in the process for reuse: no allocation is served by
 `mmap`, and free memory at the top of the heap is not handed back to
-the OS. By default glibc maps every request of 32 MiB or more (the
-FFN activations of a dim-256, ffn-1024, seq-128 batch of 32) and
-unmaps it at `free`, and trims the heap's top, so each serving-size
-`evaluate` of two such batches page-faulted 13,000-19,500 pages back in
-and spent a fifth to two fifths of its wall clock in the kernel; with
-this policy a repeated `evaluate` takes no faults. Every thread
-allocates from the one heap: glibc gives other threads arenas of their
-own, and unmaps such an arena's heap once its top is free whatever the
-trim threshold, so a serving-size `evaluate` split over two threads
-took ~1,030 faults on every repeat in most processes with per-thread
-arenas, and 3 once warm with one heap. The cost is that the process's
-RSS no longer shrinks after a peak. Where the C library has no
-`mallopt` nothing changes.
+the OS. By default glibc maps every request of 32 MiB or more (and
+smaller ones until a `free` raises its threshold), unmaps it at `free`
+and trims the heap's top, so each serving-size `evaluate` (dim 256,
+ffn 1024, seq 128, two batches of 32) page-faulted 13,000-19,500 pages
+back in when it forwarded whole batches (32 MiB FFN activations) and
+16,000-84,000 in 4 MiB chunks, a fifth to a half of its wall clock in
+the kernel; with this policy a repeated `evaluate` takes no faults.
+Every thread allocates from the one heap: glibc gives other threads
+arenas of their own, and unmaps such an arena's heap once its top is
+free whatever the trim threshold, so a serving-size `evaluate` split
+over two threads took ~1,030 faults on every repeat in most processes
+with per-thread arenas, and 3 once warm with one heap. The cost is
+that the process's RSS no longer shrinks after a peak. Where the C
+library has no `mallopt` nothing changes.
 """
 
 import ctypes

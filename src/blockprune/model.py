@@ -388,6 +388,10 @@ def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,
 # many multiply-adds: with the pool thread pinned, split and whole cross
 # over between 1.5e7 and 5.5e7 on two cores (table in CHANGES.md)
 PARALLEL_MIN_MACS = 5 * 10**7
+# `evaluate` forwards a slice in chunks whose widest activation holds at
+# most this many entries: 4 MiB of float64, 4 sequences at dim 256/ffn
+# 1024/seq 128, a whole batch of 32 at dim 64 (table in CHANGES.md)
+CHUNK_ELEMENTS = 1 << 19
 
 
 def _forward_macs(params: ModelParams, token_ids: np.ndarray) -> int:
@@ -408,10 +412,23 @@ def _slices(params: ModelParams, token_ids: np.ndarray,
     but not a slice of one, for which BLAS takes a matrix-vector kernel.
     A batch cheaper than PARALLEL_MIN_MACS stays whole.
     """
-    rows = len(token_ids)
-    n = min(cores, rows // 2)
-    if n < 2 or _forward_macs(params, token_ids) < PARALLEL_MIN_MACS:
-        n = 1
+    n = cores if _forward_macs(params, token_ids) >= PARALLEL_MIN_MACS else 1
+    return _cut(len(token_ids), n)
+
+
+def _chunks(params: ModelParams, token_ids: np.ndarray) -> list[tuple]:
+    """Row bounds (lo, hi) of the fewest contiguous chunks of a slice
+    whose widest activation fits CHUNK_ELEMENTS, each of at least 2
+    sequences as for `_slices`; a slice of one stays whole."""
+    rows, S = token_ids.shape
+    d, f = params.tensor("ffn_in").matrix.shape
+    fit = max(1, CHUNK_ELEMENTS // (S * max(d, f, S)))
+    return _cut(rows, -(-rows // fit))
+
+
+def _cut(rows: int, n: int) -> list[tuple[int, int]]:
+    """n near-equal contiguous parts of `rows`, fewer if one is under 2."""
+    n = max(1, min(n, rows // 2))
     return [(rows * k // n, rows * (k + 1) // n) for k in range(n)]
 
 
@@ -526,9 +543,13 @@ def _packed_runs(params: ModelParams,
     return runs if any(r is not None for r in runs.values()) else None
 
 
-def _hits(logits_of, token_ids: np.ndarray, labels: np.ndarray) -> int:
-    logits = logits_of(token_ids)
-    return int((logits.argmax(axis=1) == labels).sum())
+def _hits(params: ModelParams, logits_of, token_ids: np.ndarray,
+          labels: np.ndarray) -> int:
+    hits = 0
+    for lo, hi in _chunks(params, token_ids):
+        logits = logits_of(token_ids[lo:hi])
+        hits += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
+    return hits
 
 
 def evaluate(params: ModelParams, dataset: Dataset) -> float:
@@ -544,9 +565,10 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
     A large batch is split over the cores that BLAS leaves free, which
     are all of them when BLAS runs one thread per call: this thread
     forwards one slice while pinned threads of `numerics.run_pinned`
-    forward the others (BLAS and numpy's loops release the GIL). Hits
-    are counted per slice and added, so the result does not depend on
-    the core count.
+    forward the others (BLAS and numpy's loops release the GIL), each
+    slice a few sequences at a time (`_chunks`). Hits are counted per
+    chunk and added, so neither the core count nor the chunk size
+    changes the result.
     """
     # a BLAS that does not say how many threads it runs may already
     # keep every core busy
@@ -566,7 +588,7 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
         toks = dataset.token_ids[lo:lo + b]
         labels = dataset.labels[lo:lo + b]
         hits += sum(run_pinned([
-            functools.partial(_hits, logits_of, toks[i:j], labels[i:j])
+            functools.partial(_hits, params, logits_of, toks[i:j], labels[i:j])
             for i, j in _slices(params, toks, cores)]))
     return hits / dataset.labels.size
 

@@ -1,6 +1,7 @@
 import os
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,7 @@ class TestEvaluate:
 
 SMALL = ArchConfig(vocab=8, dim=16, heads=1, ffn=32, classes=8, seq_len=16)
 DIM64 = ArchConfig(vocab=8, dim=64, heads=1, ffn=128, classes=8, seq_len=32)
+SEQ128 = ArchConfig(vocab=8, dim=64, heads=1, ffn=256, classes=8, seq_len=128)
 
 
 def prune(params, axis, sparsity, names=model.PROJECTIONS):
@@ -335,8 +337,8 @@ class TestParallelEvaluate:
             assert len(sizes) == 6 * cores + min(cores, 4)
             assert sum(sizes) == 200
 
-    @pytest.mark.parametrize("arch", [SMALL, DIM64])
-    @pytest.mark.parametrize("n", [2, 3, 32, 33])
+    @pytest.mark.parametrize("arch", [SMALL, DIM64, SEQ128])
+    @pytest.mark.parametrize("n", [2, 3, 32, 33, 1, 16])
     def test_slice_logits_bit_identical_to_whole_batch(self, arch, n,
                                                        monkeypatch):
         monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
@@ -349,10 +351,24 @@ class TestParallelEvaluate:
         pruned = prune(params.clone(), ROW, 0.8)
         runs = model._packed_runs(pruned, toks)
         packed = model._packed_forward(pruned, runs, toks)
+        cuts = []
         for cores in (2, 3, 4, 16):
             bounds = model._slices(params, toks, cores)
             assert len(bounds) == max(1, min(cores, n // 2))
-            assert all(hi - lo >= 2 for lo, hi in bounds)
+            cuts.append(bounds)
+        # entries of one sequence's widest activation, here its FFN's
+        widest = arch.seq_len * arch.ffn
+        for fit in (0, 1, 2, 3, 5, 10**6):
+            monkeypatch.setattr(model, "CHUNK_ELEMENTS", fit * widest)
+            bounds = model._chunks(params, toks)
+            # the fewest chunks of at most `fit` sequences, of 2 or 3
+            # where `fit` is under 2
+            assert len(bounds) == max(1, min(n // 2, -(-n // max(fit, 1))))
+            assert all(hi - lo <= max(fit, 3) for lo, hi in bounds)
+            cuts.append(bounds)
+        for bounds in cuts:
+            # at least 2 sequences in each; a batch of 1 stays whole
+            assert all(hi - lo >= min(n, 2) for lo, hi in bounds)
             # contiguous and covering every row once
             assert [lo for lo, _ in bounds] == [0] + [hi for _, hi
                                                       in bounds[:-1]]
@@ -364,6 +380,32 @@ class TestParallelEvaluate:
                 model._packed_forward(pruned, runs, toks[lo:hi])
                 for lo, hi in bounds])
             assert logits.tobytes() == packed.tobytes()
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_chunked_accuracy_equals_whole(self, split_over, monkeypatch,
+                                           packed):
+        params = prune(build_model(DIM64, np.random.default_rng(5)), ROW,
+                       0.8)
+        data = make_synthetic_dataset(6, 70, DIM64.seq_len, DIM64.vocab)
+        sizes = split_over(2)
+        if packed:
+            monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
+
+            def logged(params, runs, token_ids,
+                       original=model._packed_forward):
+                sizes.append(len(token_ids))
+                return original(params, runs, token_ids)
+
+            monkeypatch.setattr(model, "_packed_forward", logged)
+        monkeypatch.setattr(model, "CHUNK_ELEMENTS", 10**30)
+        whole = evaluate(params, data)
+        # batches of 32, 32 and 6, each in two slices
+        assert sorted(sizes) == [3, 3, 16, 16, 16, 16]
+        # chunks of 2 sequences, a 3-sequence slice whole
+        monkeypatch.setattr(model, "CHUNK_ELEMENTS", 0)
+        sizes.clear()
+        assert evaluate(params, data) == whole
+        assert sorted(sizes) == [2] * 32 + [3, 3]
 
     def test_one_sequence_batches_stay_whole(self, split_over):
         params = build_model(SMALL, np.random.default_rng(3))
@@ -469,6 +511,25 @@ class TestPackedForward:
             assert np.abs(logits - want).max() <= 1e-12
         monkeypatch.setattr(model, "PACKED_MIN_MACS", 10**30)
         assert acc == evaluate(params, data)
+
+
+def test_serving_batch_traced_peak_below_its_ffn_activation():
+    # the pruned serving-size model: one batch of 32 whole would hold a
+    # (32, 128, 1024) float64 FFN activation, 32 MiB, at once
+    arch = ArchConfig(vocab=8, dim=256, heads=1, ffn=1024, classes=8,
+                      seq_len=128)
+    params = build_model(arch, np.random.default_rng(0))
+    prune_model(params, PruneSpec(entries=tuple(
+        PruneEntry(name, ROW, 8, "percentile", 0.8)
+        for name in model.PROJECTIONS)))
+    data = make_synthetic_dataset(1, 32, arch.seq_len, arch.vocab, 32)
+    tracemalloc.start()
+    try:
+        evaluate(params, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def assert_views_of_flat(params):
