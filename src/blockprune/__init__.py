@@ -11,8 +11,8 @@ buffers stay in the process for reuse: no allocation is served by
 the OS. By default glibc maps every request of 32 MiB or more (and
 smaller ones until a `free` raises its threshold), unmaps it at `free`
 and trims the heap's top, so each serving-size `evaluate` (dim 256,
-ffn 1024, seq 128, two batches of 32) page-faulted 13,000-19,500 pages
-back in when it forwarded whole batches (32 MiB FFN activations) and
+ffn 1024, seq 128, 64 sequences) page-faulted 13,000-19,500 pages back
+in when it forwarded whole batches of 32 (32 MiB FFN activations) and
 16,000-84,000 in 4 MiB chunks, a fifth to a half of its wall clock in
 the kernel; with this policy a repeated `evaluate` takes no faults.
 Every thread allocates from the one heap: glibc gives other threads

@@ -384,13 +384,13 @@ def make_synthetic_dataset(seed: int, n_samples: int, seq_len: int,
     return Dataset(toks, labels, batch_size)
 
 
-# `evaluate` splits a batch over the cores once its forward costs this
-# many multiply-adds: with the pool thread pinned, split and whole cross
-# over between 1.5e7 and 5.5e7 on two cores (table in CHANGES.md)
+# `evaluate` splits a dataset over the cores once a batch's forward costs
+# this many multiply-adds: with the pool thread pinned, split and whole
+# cross over between 1.5e7 and 5.5e7 on two cores (table in CHANGES.md)
 PARALLEL_MIN_MACS = 5 * 10**7
-# `evaluate` forwards a slice in chunks whose widest activation holds at
-# most this many entries: 4 MiB of float64, 4 sequences at dim 256/ffn
-# 1024/seq 128, a whole batch of 32 at dim 64 (table in CHANGES.md)
+# `evaluate` forwards a core's share in chunks whose widest activation
+# holds at most this many entries: 4 MiB of float64, 4 sequences at dim
+# 256/ffn 1024/seq 128, a whole batch of 32 at dim 64 (table in CHANGES.md)
 CHUNK_ELEMENTS = 1 << 19
 
 
@@ -400,30 +400,6 @@ def _forward_macs(params: ModelParams, token_ids: np.ndarray) -> int:
     d, f = params.tensor("ffn_in").matrix.shape
     c = params.tensor("classifier").matrix.shape[1]
     return B * S * (4 * d * d + 2 * S * d + 2 * d * f) + B * d * c
-
-
-def _slices(params: ModelParams, token_ids: np.ndarray,
-            cores: int) -> list[tuple[int, int]]:
-    """Row bounds (lo, hi) that cut a batch into contiguous slices to
-    forward one per core.
-
-    Every slice holds at least 2 sequences: forward, packed or not,
-    gives such a slice the bits of its rows of the whole batch's logits,
-    but not a slice of one, for which BLAS takes a matrix-vector kernel.
-    A batch cheaper than PARALLEL_MIN_MACS stays whole.
-    """
-    n = cores if _forward_macs(params, token_ids) >= PARALLEL_MIN_MACS else 1
-    return _cut(len(token_ids), n)
-
-
-def _chunks(params: ModelParams, token_ids: np.ndarray) -> list[tuple]:
-    """Row bounds (lo, hi) of the fewest contiguous chunks of a slice
-    whose widest activation fits CHUNK_ELEMENTS, each of at least 2
-    sequences as for `_slices`; a slice of one stays whole."""
-    rows, S = token_ids.shape
-    d, f = params.tensor("ffn_in").matrix.shape
-    fit = max(1, CHUNK_ELEMENTS // (S * max(d, f, S)))
-    return _cut(rows, -(-rows // fit))
 
 
 def _cut(rows: int, n: int) -> list[tuple[int, int]]:
@@ -532,21 +508,22 @@ def _packed_forward(params: ModelParams, runs: dict[str, list | None],
     return P @ cl.matrix + cl.bias
 
 
-def _packed_runs(params: ModelParams,
-                 token_ids: np.ndarray) -> dict[str, list | None] | None:
-    """Column runs of every projection for a batch like `token_ids`, or
-    None when the batch is too cheap or no projection packs."""
-    if _forward_macs(params, token_ids) < PACKED_MIN_MACS:
-        return None
-    runs = {name: _column_runs(params.tensor(name).matrix)
-            for name in PROJECTIONS}
-    return runs if any(r is not None for r in runs.values()) else None
-
-
 def _hits(params: ModelParams, logits_of, token_ids: np.ndarray,
-          labels: np.ndarray) -> int:
+          labels: np.ndarray, batch_size: int) -> int:
+    """Hits of `logits_of` on a core's share of the rows, forwarded in
+    the fewest contiguous chunks of at most `batch_size` sequences whose
+    widest activation fits CHUNK_ELEMENTS.
+
+    Every chunk holds at least 2 sequences: forward, packed or not,
+    gives such a chunk the bits of its rows of any larger chunk's
+    logits, but not a chunk of one, for which BLAS takes a
+    matrix-vector kernel. A share of one stays whole.
+    """
+    rows, S = token_ids.shape
+    d, f = params.tensor("ffn_in").matrix.shape
+    fit = min(batch_size, max(1, CHUNK_ELEMENTS // (S * max(d, f, S))))
     hits = 0
-    for lo, hi in _chunks(params, token_ids):
+    for lo, hi in _cut(rows, -(-rows // fit)):
         logits = logits_of(token_ids[lo:hi])
         hits += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
     return hits
@@ -555,42 +532,40 @@ def _hits(params: ModelParams, logits_of, token_ids: np.ndarray,
 def evaluate(params: ModelParams, dataset: Dataset) -> float:
     """Fraction of argmax(logits) == label; argmax ties -> smallest index.
 
-    At serving size (a batch's forward costs PACKED_MIN_MACS or more)
-    on weights with zero blocks, the batches go through a forward that
-    skips them: each projection's columns are packed into runs that
-    share their nonzero rows, once per call, so weights changed between
-    calls are read afresh. Its logits match `forward`'s to ~1e-16, not
-    bit for bit. Other calls run `forward`.
-
-    A large batch is split over the cores that BLAS leaves free, which
-    are all of them when BLAS runs one thread per call: this thread
-    forwards one slice while pinned threads of `numerics.run_pinned`
-    forward the others (BLAS and numpy's loops release the GIL), each
-    slice a few sequences at a time (`_chunks`). Hits are counted per
-    chunk and added, so neither the core count nor the chunk size
-    changes the result.
+    The first batch's forward cost decides, once per call, how the rows
+    are forwarded. From PACKED_MIN_MACS on, on weights with zero blocks,
+    a forward skips them: each projection's columns are packed into runs
+    that share their nonzero rows, afresh each call. Its logits match
+    `forward`'s to ~1e-16, not bit for bit. From PARALLEL_MIN_MACS on,
+    the rows are cut once into one contiguous share per core that BLAS
+    leaves free (all of them when BLAS runs one thread per call): this
+    thread forwards one share while the pinned threads of one
+    `numerics.run_pinned` call forward the others, as BLAS and numpy's
+    loops release the GIL. Each share goes a few sequences at a time
+    (`_hits`). Hits are counted per chunk and added, so neither the
+    cores, the batch size nor the chunks change the result.
     """
     # a BLAS that does not say how many threads it runs may already
     # keep every core busy
     cores = usable_cores()
     cores //= blas_threads() or cores
     b = dataset.batch_size
-    runs = _packed_runs(params, dataset.token_ids[:b])
-    if runs is None:
+    macs = _forward_macs(params, dataset.token_ids[:b])
+    runs = {name: _column_runs(params.tensor(name).matrix)
+            for name in PROJECTIONS} if macs >= PACKED_MIN_MACS else {}
+    if any(r is not None for r in runs.values()):
+        logits_of = functools.partial(_packed_forward, params, runs)
+    else:
         def logits_of(toks):
             # index the result so the activation cache is freed here, not
-            # kept alive while the next batch is forwarded
+            # kept alive while the next chunk is forwarded
             return forward(params, toks)[0]
-    else:
-        logits_of = functools.partial(_packed_forward, params, runs)
-    hits = 0
-    for lo in range(0, dataset.labels.size, b):
-        toks = dataset.token_ids[lo:lo + b]
-        labels = dataset.labels[lo:lo + b]
-        hits += sum(run_pinned([
-            functools.partial(_hits, params, logits_of, toks[i:j], labels[i:j])
-            for i, j in _slices(params, toks, cores)]))
-    return hits / dataset.labels.size
+    toks, labels = dataset.token_ids, dataset.labels
+    shares = _cut(labels.size, cores if macs >= PARALLEL_MIN_MACS else 1)
+    return sum(run_pinned([
+        functools.partial(_hits, params, logits_of, toks[lo:hi],
+                          labels[lo:hi], b)
+        for lo, hi in shares])) / labels.size
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +620,14 @@ def save_checkpoint(params: ModelParams, out_dir: str,
 
 def load_checkpoint(in_dir: str) -> ModelParams:
     manifest = os.path.join(in_dir, MANIFEST)
-    if not os.path.exists(manifest):
-        raise CheckpointError(f"no manifest at {manifest}")
+    try:
+        lines = read_lines(manifest, "ascii", CheckpointError)
+    except OSError as exc:
+        raise CheckpointError(
+            f"{manifest}: cannot read: {exc.strerror or exc}"
+        ) from None
     tensors = []
-    for lineno, raw in enumerate(read_lines(manifest, "ascii",
-                                            CheckpointError), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

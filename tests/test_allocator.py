@@ -13,8 +13,9 @@ import blockprune
 
 HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
 
-# a serving-size evaluate of one batch of 32, forwarded in chunks of 4
-# sequences whose FFN activations are 4 MiB (32 MiB for the whole batch);
+# a serving-size evaluate of 32 sequences, one share per free core, each
+# share forwarded in chunks of 4 sequences whose FFN activations are
+# 4 MiB (32 MiB for all 32 at once);
 # argv[1] "pruned" row-prunes the projections at 0.8 first, so evaluate
 # takes its packed path
 REPEATED_EVALUATE = textwrap.dedent("""

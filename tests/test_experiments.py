@@ -214,14 +214,22 @@ class TestPhaseCache:
                 b["value"], b["accuracy"], b["compression"])
 
     def test_workers_fork_after_a_split_evaluate(self, monkeypatch):
-        # every batch of 2 or more sequences is split over two threads,
-        # here and, through the fork, in the workers
+        # every dataset of 2 or more sequences is split over two threads
+        # in one pool call, here and, through the fork, in the workers
         monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
         monkeypatch.setattr(model, "usable_cores", lambda: 2)
         monkeypatch.setattr(model, "blas_threads", lambda: 1)
+        calls = []
+
+        def logged(partials, original=model.run_pinned):
+            calls.append(len(partials))
+            return original(partials)
+
+        monkeypatch.setattr(model, "run_pinned", logged)
         before = threading.active_count()
         evaluate(build_model(TINY, np.random.default_rng(0)),
                  make_synthetic_dataset(1, 32, TINY.seq_len, TINY.vocab, 16))
+        assert calls == [2]  # two batches of 16, one call of two shares
         assert threading.active_count() == before
         configs = [tiny_config(), tiny_config(seed=6)]
         for cfg, got in zip(configs, run_cells(configs, 2)):

@@ -302,10 +302,9 @@ def prune(params, axis, sparsity, names=model.PROJECTIONS):
 
 @pytest.fixture
 def split_over(monkeypatch):
-    """`split_over(cores, blas=1)` makes `evaluate` split every batch
+    """`split_over(cores, blas=1)` makes `evaluate` split every dataset
     of 2 or more sequences as it would on `cores` cores with BLAS on
-    `blas` threads; the forward calls it makes are logged by batch
-    size."""
+    `blas` threads; the forward calls it makes are logged by size."""
     sizes = []
 
     def logged(params, token_ids, original=model.forward):
@@ -324,48 +323,116 @@ def split_over(monkeypatch):
     return split
 
 
+def log_packed(monkeypatch):
+    """The sizes of the packed forward calls from here on, as a list."""
+    sizes = []
+
+    def logged(params, runs, token_ids, original=model._packed_forward):
+        sizes.append(len(token_ids))
+        return original(params, runs, token_ids)
+
+    monkeypatch.setattr(model, "_packed_forward", logged)
+    return sizes
+
+
+def shares(n, cores):
+    """The sizes of `cores` near-equal contiguous parts of n rows."""
+    return [n * (k + 1) // cores - n * k // cores for k in range(cores)]
+
+
 class TestParallelEvaluate:
-    def test_threaded_accuracy_equals_serial(self, split_over):
-        params = build_model(SMALL, np.random.default_rng(3))
+    def test_threaded_accuracy_equals_serial(self, split_over, monkeypatch):
         data = make_synthetic_dataset(4, 200, SMALL.seq_len, SMALL.vocab)
-        split_over(1)
-        serial = evaluate(params, data)
-        for cores in (2, 3, 4, 16):
-            sizes = split_over(cores)
-            assert evaluate(params, data) == serial
-            # six batches of 32 and one of 8, each cut into `cores` slices
-            assert len(sizes) == 6 * cores + min(cores, 4)
-            assert sum(sizes) == 200
+        for packed in (False, True):
+            params = build_model(SMALL, np.random.default_rng(3))
+            forwarded = split_over(1)
+            sizes = forwarded
+            if packed:
+                prune(params, ROW, 0.8)
+                monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
+                sizes = log_packed(monkeypatch)
+            serial = evaluate(params, data)
+            for batch_size in (1, 2, 7, 32, 200):
+                batches = Dataset(data.token_ids, data.labels, batch_size)
+                for cores in (1, 2, 3, 4, 16):
+                    split_over(cores)
+                    sizes.clear()
+                    assert evaluate(params, batches) == serial
+                    # one share per core, each in the fewest chunks of
+                    # at most a batch, of 2 or 3 where a batch is 1
+                    assert sum(sizes) == 200
+                    assert len(sizes) == sum(
+                        min(rows // 2, -(-rows // batch_size))
+                        for rows in shares(200, cores))
+                    assert 2 <= min(sizes)
+                    assert max(sizes) <= max(batch_size, 3)
+                    assert (forwarded == []) == packed
+
+    def test_one_pool_call_per_evaluate(self, split_over, monkeypatch):
+        params = build_model(SMALL, np.random.default_rng(3))
+        # seven batches: six of 32 and one of 8
+        data = make_synthetic_dataset(4, 200, SMALL.seq_len, SMALL.vocab)
+        calls = []
+
+        def logged(partials, original=model.run_pinned):
+            calls.append(len(partials))
+            return original(partials)
+
+        monkeypatch.setattr(model, "run_pinned", logged)
+        before = threading.active_count()
+        for cores in (1, 2, 3):
+            split_over(cores)
+            calls.clear()
+            evaluate(params, data)
+            assert calls == [cores]
+            assert threading.active_count() == before
 
     @pytest.mark.parametrize("arch", [SMALL, DIM64, SEQ128])
     @pytest.mark.parametrize("n", [2, 3, 32, 33, 1, 16])
     def test_slice_logits_bit_identical_to_whole_batch(self, arch, n,
                                                        monkeypatch):
-        monkeypatch.setattr(model, "PARALLEL_MIN_MACS", 0)
-        monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
         params = build_model(arch, np.random.default_rng(5))
-        toks = make_synthetic_dataset(6, n, arch.seq_len, arch.vocab,
-                                      n).token_ids
+        data = make_synthetic_dataset(6, n, arch.seq_len, arch.vocab, n)
+        toks = data.token_ids
         whole = forward(params, toks)[0]
         # the packed forward on the same weights, row-pruned
         pruned = prune(params.clone(), ROW, 0.8)
-        runs = model._packed_runs(pruned, toks)
+        runs = {name: model._column_runs(pruned.tensor(name).matrix)
+                for name in model.PROJECTIONS}
         packed = model._packed_forward(pruned, runs, toks)
         cuts = []
         for cores in (2, 3, 4, 16):
-            bounds = model._slices(params, toks, cores)
+            bounds = model._cut(n, cores)
             assert len(bounds) == max(1, min(cores, n // 2))
             cuts.append(bounds)
+
+        def chunks(batch_size):
+            """Row bounds of the chunks `_hits` forwards the rows in."""
+            bounds = []
+
+            def logits_of(rows):
+                lo = (rows.ctypes.data - toks.ctypes.data) // toks.strides[0]
+                bounds.append((lo, lo + len(rows)))
+                return whole[lo:lo + len(rows)]
+
+            model._hits(params, logits_of, toks, data.labels, batch_size)
+            return bounds
+
         # entries of one sequence's widest activation, here its FFN's
         widest = arch.seq_len * arch.ffn
-        for fit in (0, 1, 2, 3, 5, 10**6):
-            monkeypatch.setattr(model, "CHUNK_ELEMENTS", fit * widest)
-            bounds = model._chunks(params, toks)
-            # the fewest chunks of at most `fit` sequences, of 2 or 3
-            # where `fit` is under 2
-            assert len(bounds) == max(1, min(n // 2, -(-n // max(fit, 1))))
-            assert all(hi - lo <= max(fit, 3) for lo, hi in bounds)
-            cuts.append(bounds)
+        for cap in (0, 1, 2, 3, 5, 10**6):
+            # a cap of `cap` sequences set by CHUNK_ELEMENTS, then by
+            # the batch size
+            for elements, batch_size in ((cap * widest, 10**6),
+                                         (10**30, max(cap, 1))):
+                monkeypatch.setattr(model, "CHUNK_ELEMENTS", elements)
+                bounds = chunks(batch_size)
+                # the fewest chunks of at most `cap` sequences, of 2 or
+                # 3 where `cap` is under 2
+                assert len(bounds) == max(1, min(n // 2,
+                                                 -(-n // max(cap, 1))))
+                assert all(hi - lo <= max(cap, 3) for lo, hi in bounds)
+                cuts.append(bounds)
         for bounds in cuts:
             # at least 2 sequences in each; a batch of 1 stays whole
             assert all(hi - lo >= min(n, 2) for lo, hi in bounds)
@@ -390,18 +457,12 @@ class TestParallelEvaluate:
         sizes = split_over(2)
         if packed:
             monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
-
-            def logged(params, runs, token_ids,
-                       original=model._packed_forward):
-                sizes.append(len(token_ids))
-                return original(params, runs, token_ids)
-
-            monkeypatch.setattr(model, "_packed_forward", logged)
+            sizes = log_packed(monkeypatch)
         monkeypatch.setattr(model, "CHUNK_ELEMENTS", 10**30)
         whole = evaluate(params, data)
-        # batches of 32, 32 and 6, each in two slices
-        assert sorted(sizes) == [3, 3, 16, 16, 16, 16]
-        # chunks of 2 sequences, a 3-sequence slice whole
+        # two shares of 35, each in two chunks of at most a batch of 32
+        assert sorted(sizes) == [17, 17, 18, 18]
+        # chunks of 2 sequences, one of 3 in each share
         monkeypatch.setattr(model, "CHUNK_ELEMENTS", 0)
         sizes.clear()
         assert evaluate(params, data) == whole
@@ -416,7 +477,9 @@ class TestParallelEvaluate:
         serial = [evaluate(params, data), evaluate(params, last)]
         sizes = split_over(2)
         assert [evaluate(params, data), evaluate(params, last)] == serial
-        assert sizes == [16, 16, 1, 1]
+        # the last sequence goes with others, and a dataset of one whole;
+        # the two threads log in either order
+        assert sorted(sizes) == [1, 16, 17]
 
     @pytest.mark.parametrize("blas", [2, None])
     def test_busy_or_unknown_blas_keeps_batches_whole(self, split_over,
@@ -425,6 +488,7 @@ class TestParallelEvaluate:
         data = make_synthetic_dataset(4, 64, SMALL.seq_len, SMALL.vocab)
         sizes = split_over(2, blas)
         evaluate(params, data)
+        # one share, in chunks of a batch
         assert sizes == [32, 32]
 
     def test_no_thread_outlives_the_call(self, split_over):
@@ -463,19 +527,18 @@ class TestPackedForward:
                        sparsity, names)
         data = make_synthetic_dataset(6, 70, DIM64.seq_len, DIM64.vocab)
         sizes = split_over(1)
-        # below the cut every batch runs forward
+        # below the cut forward runs every chunk: 70 rows in the fewest
+        # chunks of at most a batch of 32
         dense = evaluate(params, data)
-        assert sizes == [32, 32, 6]
+        assert sizes == [23, 23, 24]
         monkeypatch.setattr(model, "PACKED_MIN_MACS", 0)
         sizes.clear()
         assert evaluate(params, data) == dense
-        # forward runs every batch unless some matrix packs
-        assert sizes == ([] if packs else [32, 32, 6])
+        # forward runs every chunk unless some matrix packs
+        assert sizes == ([] if packs else [23, 23, 24])
         runs = {name: model._column_runs(params.tensor(name).matrix)
                 for name in model.PROJECTIONS}
         assert [n for n, r in runs.items() if r is not None] == list(packs)
-        assert (model._packed_runs(params, data.token_ids) is None) == (
-            not packs)
         got = model._packed_forward(params, runs, data.token_ids)
         want = forward(params, data.token_ids)[0]
         assert np.abs(got - want).max() <= 1e-12
@@ -497,7 +560,7 @@ class TestPackedForward:
         before = threading.active_count()
         split_over(2)
         evaluate(params, data)
-        assert len(seen) == 4  # two batches, two slices each
+        assert len(seen) == 2  # two shares of 32, one chunk each
         assert threading.active_count() == before
         # zero one kept block of Wv in place: its first run of columns
         Wv = params.tensor("Wv").matrix
@@ -505,7 +568,7 @@ class TestPackedForward:
         Wv[:, lo:hi] = 0.0
         seen.clear()
         acc = evaluate(params, data)
-        assert len(seen) == 4
+        assert len(seen) == 2
         for toks, logits in seen:
             want = forward(params, toks)[0]
             assert np.abs(logits - want).max() <= 1e-12
@@ -680,3 +743,22 @@ class TestCheckpoint:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("how", ["directory", "permission"])
+    def test_unreadable_manifest_names_the_path(self, tmp_path, monkeypatch,
+                                                how):
+        save_checkpoint(tiny_model(), tmp_path / "ck")
+        manifest = tmp_path / "ck" / "manifest.txt"
+        if how == "directory":
+            manifest.unlink()
+            manifest.mkdir()
+        else:
+            # a mode-000 file stays readable to root, so the read is
+            # refused here instead
+            def refused(path, *args):
+                raise PermissionError(13, "Permission denied", path)
+
+            monkeypatch.setattr(model, "read_lines", refused)
+        with pytest.raises(CheckpointError,
+                           match=rf"{manifest}: cannot read: \w"):
+            load_checkpoint(tmp_path / "ck")
