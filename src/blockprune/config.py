@@ -35,7 +35,6 @@ refreshes every four epochs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, read_lines
@@ -114,10 +113,6 @@ def _schema_for(section: str) -> dict | None:
 
 
 def parse_config(path: str) -> RawConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    if os.path.isdir(path):
-        raise ConfigError(f"config path is a directory: {path}")
     raw = RawConfig(path=path)
     current: str | None = None
     for lineno, line in enumerate(read_lines(path, "utf-8", ConfigError),

@@ -28,7 +28,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, replace
 
-from .errors import BlockpruneError, ConfigError
+from .errors import BlockpruneError, ConfigError, write_file
 from .model import LAYOUT, ModelParams
 from .pruner import PruneEntry, PruneSpec
 from .trainer import (PipelineResult, TrainConfig, baseline_phase, phase_keys,
@@ -283,9 +283,7 @@ def sensitivity_scan(
 def save_table(rows: list[dict], columns: list[str], path: str,
                meta: dict | None = None) -> None:
     """Comma-separated table with a header row; commas in cells become ';'."""
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={value}")
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
     for row in rows:
         cells = []
@@ -294,5 +292,4 @@ def save_table(rows: list[dict], columns: list[str], path: str,
             text = repr(value) if isinstance(value, float) else str(value)
             cells.append(text.replace(",", ";").replace("\n", " "))
         lines.append(",".join(cells))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, lines)

@@ -21,13 +21,15 @@ central finite differences in the test suite.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, ShapeError, read_lines
+from .errors import (CheckpointError, DataError, ShapeError, read_bytes,
+                     read_lines, write_file)
 from .numerics import blas_threads, run_pinned, usable_cores
 
 EMBEDDING = "embedding"
@@ -575,19 +577,8 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
 MANIFEST = "manifest.txt"
 
 
-def _write_f64(path: str, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
 def _read_f64(path: str, count: int) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CheckpointError(
-            f"{path}: cannot read: {exc.strerror or exc}"
-        ) from None
+    raw = read_bytes(path, CheckpointError)
     if len(raw) != 8 * count:
         raise CheckpointError(
             f"{path}: expected {8 * count} bytes, found {len(raw)}"
@@ -598,9 +589,11 @@ def _read_f64(path: str, count: int) -> np.ndarray:
 def save_checkpoint(params: ModelParams, out_dir: str,
                     meta: dict | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    # a save that fails partway leaves no manifest, so nothing loads
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, MANIFEST))
     lines = ["# blockprune checkpoint v1"]
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={value}")
+    lines += [f"# {key}={value}" for key, value in (meta or {}).items()]
     for name, t in params.items():
         if any(ch.isspace() for ch in name) or "/" in name:
             raise CheckpointError(f"tensor name {name!r} not storable")
@@ -611,21 +604,16 @@ def save_checkpoint(params: ModelParams, out_dir: str,
             f"{name} {rows} {cols} {t.role} {int(t.prunable)} "
             f"{data_file} {bias_file}"
         )
-        _write_f64(os.path.join(out_dir, data_file), t.matrix)
-        if t.bias is not None:
-            _write_f64(os.path.join(out_dir, bias_file), t.bias)
-    with open(os.path.join(out_dir, MANIFEST), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for file, arr in ((data_file, t.matrix), (bias_file, t.bias)):
+            if arr is not None:
+                write_file(os.path.join(out_dir, file),
+                           np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_file(os.path.join(out_dir, MANIFEST), lines)
 
 
 def load_checkpoint(in_dir: str) -> ModelParams:
     manifest = os.path.join(in_dir, MANIFEST)
-    try:
-        lines = read_lines(manifest, "ascii", CheckpointError)
-    except OSError as exc:
-        raise CheckpointError(
-            f"{manifest}: cannot read: {exc.strerror or exc}"
-        ) from None
+    lines = read_lines(manifest, "ascii", CheckpointError)
     tensors = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

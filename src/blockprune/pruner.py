@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CheckpointError, MaskError, PartitionError, ShapeError,
-                     read_lines)
+                     read_lines, write_file)
 from .numerics import COLUMN, ROW
 from .regularizer import BlockPartition, group_norms, make_partition, segments
 
@@ -203,8 +203,7 @@ def save_masks(
     masks: dict[str, PruneMask], path, meta: dict | None = None
 ) -> None:
     lines = ["# blockprune mask v1"]
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={value}")
+    lines += [f"# {key}={value}" for key, value in (meta or {}).items()]
     for name, mask in masks.items():
         part = mask.partition
         rows, cols = part.matrix_shape
@@ -217,17 +216,13 @@ def save_masks(
         lines.append(f"zeroed = {len(pairs)}")
         for g, b in pairs:
             lines.append(f"zero {g} {b}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, lines)
 
 
 def load_masks(path) -> dict[str, PruneMask]:
     """Read a mask file, rejecting any malformed line with path:line."""
     masks: dict[str, PruneMask] = {}
-    try:
-        raw = read_lines(path, "ascii", CheckpointError)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read mask file {path}: {exc}") from exc
+    raw = read_lines(path, "ascii", CheckpointError)
     i = 0
     n = len(raw)
 

@@ -37,7 +37,8 @@ from statistics import median
 
 import numpy as np
 
-from .errors import CheckpointError, MaskError, PartitionError, ShapeError
+from .errors import (CheckpointError, MaskError, PartitionError, ShapeError,
+                     read_bytes, write_file)
 from .numerics import (ROW, as_matrix, matmul, run_pinned, usable_cores,
                        usable_cpus)
 from .pruner import PruneMask, prune_percentile, sparsity
@@ -292,39 +293,17 @@ def bench_spmm(
             b = rng.normal(size=(n, n))
             block = to_block_structured(pruned, mask)
             coo = to_coo(pruned)
-
-            def run(fn, *args):
+            for fmt, fn, a in (("dense", matmul, pruned),
+                               ("blas", np.matmul, pruned),
+                               ("coo", coo_spmm, coo),
+                               ("block_structured", spmm, block)):
                 times = []
                 for _ in range(repetitions):
                     t0 = time.perf_counter()
-                    fn(*args)
+                    fn(a, b)
                     times.append(time.perf_counter() - t0)
-                return median(times)
-
-            rows.append(
-                {
-                    "size": n, "sparsity": s, "format": "dense",
-                    "median_seconds": run(matmul, pruned, b),
-                }
-            )
-            rows.append(
-                {
-                    "size": n, "sparsity": s, "format": "blas",
-                    "median_seconds": run(np.matmul, pruned, b),
-                }
-            )
-            rows.append(
-                {
-                    "size": n, "sparsity": s, "format": "coo",
-                    "median_seconds": run(coo_spmm, coo, b),
-                }
-            )
-            rows.append(
-                {
-                    "size": n, "sparsity": s, "format": "block_structured",
-                    "median_seconds": run(spmm, block, b),
-                }
-            )
+                rows.append({"size": n, "sparsity": s, "format": fmt,
+                             "median_seconds": median(times)})
     return rows
 
 
@@ -350,24 +329,18 @@ MAGIC = "blockstructured v1"
 
 def save_block_structured(m: BlockStructuredMatrix, path: str) -> None:
     part = m.partition
-    header = (
+    text = (
         f"{MAGIC} {m.rows} {m.cols} {part.axis} "
         f"{part.blocks_per_group} {m.retained_count}\n"
+        + "".join(f"{g} {b}\n" for g, b in m.retained.tolist())
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for g, b in m.retained.tolist():
-            fh.write(f"{g} {b}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
+    write_file(path, text.encode("ascii")
+               + np.ascontiguousarray(m.values, dtype="<f8").tobytes())
 
 
 def load_block_structured(path: str) -> BlockStructuredMatrix:
     """Read a block file, rejecting any malformed line with path:line."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path, CheckpointError)
     lineno = 1
 
     def fail(msg):

@@ -37,7 +37,8 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import BlockpruneError, MaskError, NonFiniteError, ShapeError
+from .errors import (BlockpruneError, MaskError, NonFiniteError, ShapeError,
+                     write_file)
 from .model import (
     ArchConfig,
     Dataset,
@@ -182,8 +183,7 @@ class RunReport:
 
 def save_report(report: RunReport, path: str, meta: dict | None = None) -> None:
     lines = ["# blockprune run report v1", f"# phase={report.phase}"]
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={value}")
+    lines += [f"# {key}={value}" for key, value in (meta or {}).items()]
     for key in sorted(report.hyper):
         lines.append(f"# {key}={report.hyper[key]!r}")
     acc = dict(report.accuracy_at)
@@ -198,8 +198,7 @@ def save_report(report: RunReport, path: str, meta: dict | None = None) -> None:
     if report.compression is not None:
         lines.append(f"# compression={report.compression!r}")
     lines.append(f"# wall_clock_seconds={report.wall_clock!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, lines)
 
 
 def _check_finite(value: float, params: ModelParams, step: int) -> None:
@@ -573,7 +572,7 @@ def _emit(result: PipelineResult, config: TrainConfig, out_dir: str) -> None:
     if result.masks:
         save_masks(result.masks, os.path.join(out_dir, "masks.txt"), meta)
     save_checkpoint(result.params, os.path.join(out_dir, "checkpoint_final"), meta)
-    lines = [
+    write_file(os.path.join(out_dir, "summary.txt"), [
         "# blockprune run summary v1",
         f"# seed={config.seed}",
         f"baseline_accuracy={result.baseline_accuracy!r}",
@@ -582,6 +581,4 @@ def _emit(result: PipelineResult, config: TrainConfig, out_dir: str) -> None:
         f"compression_prunable={result.compression!r}",
         f"compression_all={result.compression_all!r}",
         f"# wall_clock_seconds={result.wall_clock!r}",
-    ]
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ])

@@ -1,5 +1,19 @@
 import sys
 
+import pytest
+
+from blockprune import errors
+
+
+@pytest.fixture
+def refuse_open(monkeypatch):
+    """Every file the package opens is refused, as a mode-000 file is to
+    any user but root (who reads it anyway, so the refusal is stubbed)."""
+    def refused(path, *args):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(errors, "open", refused, raising=False)
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one line per acceptance check, in order, after the run."""

@@ -113,7 +113,24 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"config error: config path is a directory: {tmp_path}\n"
+        assert err == f"config error: {tmp_path}: cannot read: Is a directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how, reason", [
+        ("missing", "No such file or directory"),
+        ("refused", "Permission denied"),
+    ])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, request, how,
+                                       reason):
+        path = tmp_path / "c.cfg"
+        if how == "refused":
+            path.write_text(TINY_CFG)
+            request.getfixturevalue("refuse_open")
+        code = main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: cannot read: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [

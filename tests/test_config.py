@@ -55,8 +55,21 @@ layers = Wq, ffn_in
             parse_config(path)
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ConfigError) as info:
             parse_config("/no/such/file.cfg")
+        assert str(info.value) == \
+            "/no/such/file.cfg: cannot read: No such file or directory"
+
+    def test_directory_names_the_path(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(tmp_path))
+        assert str(info.value) == f"{tmp_path}: cannot read: Is a directory"
+
+    def test_refused_read_names_the_path(self, tmp_path, refuse_open):
+        path = write(tmp_path, "[train]\nseed = 9\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}: cannot read: Permission denied"
 
 
 class TestResolve:

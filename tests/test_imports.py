@@ -1,5 +1,6 @@
-"""Every imported name in the package and its tests is used, and the
-package exports exactly the names its `__init__.py` re-exports.
+"""Every imported name in the package and its tests is used, the
+package exports exactly the names its `__init__.py` re-exports, and only
+`errors.py` opens files.
 
 `__init__.py` is skipped by the unused-import check: it imports names
 only to re-export them.
@@ -58,3 +59,31 @@ def test_public_surface_is_what_init_imports():
     assert set(blockprune.__all__) == bound | {"__version__"}
     for name in blockprune.__all__:
         assert getattr(blockprune, name) is not None, name
+
+
+def opened_files(source: str) -> list:
+    """The first argument of each `open(...)` or `x.open(...)` call: the
+    literal string where it is one, else its source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "open" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            arg = node.args[0] if node.args else None
+            found.append(arg.value if isinstance(arg, ast.Constant)
+                         else ast.unparse(arg) if arg else None)
+    return found
+
+
+def test_only_errors_opens_files():
+    assert opened_files("open('a')\nos.open(p, 0)\nf(x.open)\n") == \
+        ["a", "p"]
+    package = ROOT / "src" / "blockprune"
+    found = {p.name: opened_files(p.read_text())
+             for p in sorted(package.glob("*.py"))}
+    # the one read outside errors.py: the memory map numerics scans for
+    # OpenBLAS, which a missing file only skips
+    assert {name: files for name, files in found.items() if files} == {
+        "errors.py": ["path", "tmp"],
+        "numerics.py": ["/proc/self/maps"],
+    }

@@ -745,7 +745,7 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "nowhere")
 
     @pytest.mark.parametrize("how", ["directory", "permission"])
-    def test_unreadable_manifest_names_the_path(self, tmp_path, monkeypatch,
+    def test_unreadable_manifest_names_the_path(self, tmp_path, request,
                                                 how):
         save_checkpoint(tiny_model(), tmp_path / "ck")
         manifest = tmp_path / "ck" / "manifest.txt"
@@ -753,12 +753,28 @@ class TestCheckpoint:
             manifest.unlink()
             manifest.mkdir()
         else:
-            # a mode-000 file stays readable to root, so the read is
-            # refused here instead
-            def refused(path, *args):
-                raise PermissionError(13, "Permission denied", path)
-
-            monkeypatch.setattr(model, "read_lines", refused)
+            request.getfixturevalue("refuse_open")
         with pytest.raises(CheckpointError,
                            match=rf"{manifest}: cannot read: \w"):
             load_checkpoint(tmp_path / "ck")
+
+    def test_save_failing_partway_leaves_nothing_loadable(self, tmp_path,
+                                                          monkeypatch):
+        save_checkpoint(tiny_model(seed=1), tmp_path)
+        real, written = model.write_file, []
+
+        def fourth_fails(path, data):
+            written.append(path)
+            if len(written) == 4:
+                raise OSError(28, "No space left on device")
+            real(path, data)
+
+        # the first three files of the second save replace the first's,
+        # and its manifest is gone: nothing may load as a mix of the two
+        monkeypatch.setattr(model, "write_file", fourth_fails)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(tiny_model(seed=2), tmp_path)
+        assert len(written) == 4
+        with pytest.raises(CheckpointError,
+                           match=rf"{tmp_path / 'manifest.txt'}: cannot read"):
+            load_checkpoint(tmp_path)
